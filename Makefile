@@ -8,7 +8,7 @@ export PYTHONPATH := src
 
 .PHONY: check lint simlint typecheck test sanitize coverage \
 	bench-sanitizer trace-demo bench-telemetry bench-hotpath \
-	bench-hotpath-miss
+	bench-hotpath-miss bench-sweep-hit
 
 check:
 	$(PYTHON) -m repro check
@@ -70,3 +70,9 @@ bench-hotpath:
 bench-hotpath-miss:
 	$(PYTHON) benchmarks/check_hotpath_speedup.py --configs miss \
 		--output BENCH_hotpath_miss.json
+
+# Warm-state reuse claim: hmmer x all nine paper policies through a
+# serial sweep, which warms the LLC once instead of nine times (see
+# "Warm-state reuse" in docs/performance.md).
+bench-sweep-hit:
+	$(PYTHON) perfbench/run.py --workload sweep-hit --seed 1 --seconds 33 --trace 0

@@ -12,7 +12,8 @@ semantics, and ``tests/test_checkpoint.py`` for the differential
 equivalence matrix that pins the contract.
 """
 
-from .codec import STATE_SCHEMA_VERSION, capture_state, restore_state
+from .codec import (STATE_SCHEMA_VERSION, capture_state, capture_warm_state,
+                    restore_state, restore_warm_state)
 from .errors import (CheckpointCorruptionError, CheckpointError,
                      CheckpointUnsupportedError)
 from .snapshot import (SNAPSHOT_SCHEMA_VERSION, config_from_dict,
@@ -26,12 +27,14 @@ __all__ = [
     "CheckpointError",
     "CheckpointUnsupportedError",
     "capture_state",
+    "capture_warm_state",
     "config_from_dict",
     "config_to_dict",
     "default_snapshot_path",
     "load_snapshot",
     "restore_state",
     "restore_system",
+    "restore_warm_state",
     "save_snapshot",
     "snapshot_bytes",
 ]

@@ -247,7 +247,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _print_progress(event) -> None:
-    source = "cache" if event.from_cache else "sim"
+    source = ("cache" if event.from_cache
+              else "sim, warm start" if event.warm_started else "sim")
     print(
         f"[{event.completed}/{event.total}] "
         f"{event.config.workload}/{event.config.policy_name} ({source})",

@@ -134,9 +134,17 @@ class SweepProgress:
     config: SimConfig
     result: RunResult
     from_cache: bool
+    #: The run restored a warm state another run of the sweep captured
+    #: instead of running functional warmup itself.
+    warm_started: bool = False
 
 
 ProgressCallback = Callable[[SweepProgress], None]
+
+#: One serial-sweep run: (config, run number, warm state to restore,
+#: callback that keeps a cold warmup's state) -> result.
+_Simulate = Callable[[SimConfig, int, Optional[bytes],
+                      Optional[Callable[[bytes], None]]], RunResult]
 
 
 def _simulate_to_dict(config: SimConfig) -> dict:
@@ -154,13 +162,18 @@ def _simulate_to_dict(config: SimConfig) -> dict:
 
 
 def _advance_slice(config: SimConfig, snapshot_path: Optional[str],
-                   next_snapshot_path: str) -> tuple:
+                   next_snapshot_path: str,
+                   warm_state: Optional[bytes] = None,
+                   on_warm_state: Optional[Callable[[bytes], None]] = None,
+                   ) -> tuple:
     """Worker entry point for sliced sweeps: run one checkpoint segment.
 
-    The first slice of a run starts from the config; later slices resume
-    from the snapshot the previous slice (possibly in a *different*
-    process) wrote.  Returns ``("pending", path)`` after writing the next
-    snapshot, or ``("done", result_dict)`` when the run completed.
+    The first slice of a run starts from the config (warm-started from
+    ``warm_state`` when given, see :meth:`System.start_run`); later
+    slices resume from the snapshot the previous slice (possibly in a
+    *different* process) wrote.  Returns ``("pending", path)`` after
+    writing the next snapshot, or ``("done", result_dict)`` when the run
+    completed.
 
     A snapshot that fails validation - truncated, bit-flipped, or from a
     mismatched environment - is not fatal: the worker warns and
@@ -173,7 +186,7 @@ def _advance_slice(config: SimConfig, snapshot_path: Optional[str],
 
     if snapshot_path is None:
         system = System(config)
-        system.start_run()
+        system.start_run(warm_state, on_warm_state)
     else:
         try:
             system = restore_system(snapshot_path)
@@ -187,6 +200,45 @@ def _advance_slice(config: SimConfig, snapshot_path: Optional[str],
         save_snapshot(system, next_snapshot_path)
         return ("pending", next_snapshot_path)
     return ("done", result_to_dict(result))
+
+
+class _Sweep:
+    """One sweep call's configs, misses, results and progress count."""
+
+    def __init__(self, runner: "Runner", configs: List[SimConfig],
+                 progress: Optional[ProgressCallback]) -> None:
+        self.runner = runner
+        self.configs = configs
+        self.progress = progress
+        self.misses: List[List[int]] = []
+        self.results: Dict[int, RunResult] = {}
+        self.completed = 0
+
+    def report(self, index: int, result: RunResult, from_cache: bool,
+               warm_started: bool = False) -> None:
+        self.results[index] = result
+        self.completed += 1
+        if self.progress is not None:
+            self.progress(SweepProgress(
+                completed=self.completed, total=len(self.configs),
+                config=self.configs[index], result=result,
+                from_cache=from_cache, warm_started=warm_started,
+            ))
+
+    def finish(self, indices: List[int], result: RunResult,
+               warm_started: bool = False) -> None:
+        """Store a simulated miss; its duplicate grid points are hits."""
+        runner = self.runner
+        runner.simulated += 1
+        runner._store_result(self.configs[indices[0]], result)
+        for j, index in enumerate(indices):
+            if j:
+                runner.cache_hits += 1
+            self.report(index, result, from_cache=bool(j),
+                        warm_started=warm_started and not j)
+
+    def ordered(self) -> List[RunResult]:
+        return [self.results[i] for i in range(len(self.configs))]
 
 
 class Runner:
@@ -203,6 +255,9 @@ class Runner:
         self._memo: Dict[tuple, RunResult] = {}
         self.simulated = 0
         self.cache_hits = 0
+        # Serial-sweep runs that restored a shared warm state instead of
+        # running functional warmup (see Runner._run_serially).
+        self.warm_reused = 0
 
     def _path_for(self, config: SimConfig) -> Path:
         path = self.store.entry_path(config.cache_digest())
@@ -321,16 +376,9 @@ class Runner:
 
     def run(self, config: SimConfig) -> RunResult:
         config = self._with_telemetry_dir(config)
-        key = config.cache_key()
-        if self._telemetry_satisfied(config):
-            if key in self._memo:
-                self.cache_hits += 1
-                return self._memo[key]
-            result = self._load_store(config)
-            if result is not None:
-                self._memo[key] = result
-                self.cache_hits += 1
-                return result
+        cached = self.peek(config)
+        if cached is not None:
+            return cached
         result = run_simulation(config)
         self.simulated += 1
         self._store_result(config, result)
@@ -378,82 +426,33 @@ class Runner:
         sweep: every run is deterministic given its config, and duplicate
         configs in the grid simulate once.  ``jobs`` defaults to
         ``REPRO_JOBS`` (or all cores); ``progress`` receives one
-        :class:`SweepProgress` per completed run.
+        :class:`SweepProgress` per completed run.  A serial sweep warms
+        the LLC once per :meth:`SimConfig.warm_key` (see
+        :meth:`_run_serially`).
 
         ``apply_env_scale=False`` skips the ``REPRO_SCALE`` rescaling:
         callers that computed digests from the configs *as given* (the
         ``repro serve`` job API) need execution and identity to agree
         even when the environment carries a scale override.
         """
-        if apply_env_scale:
-            configs = [self._scaled_config(c) for c in configs]
-        configs = [self._with_telemetry_dir(c) for c in configs]
-        total = len(configs)
+        sweep = self._plan_sweep(configs, progress, apply_env_scale)
         jobs = default_jobs() if jobs is None else max(1, jobs)
-        results: Dict[int, RunResult] = {}
-        completed = 0
-
-        def report(index: int, result: RunResult, from_cache: bool) -> None:
-            nonlocal completed
-            completed += 1
-            if progress is not None:
-                progress(SweepProgress(
-                    completed=completed, total=total, config=configs[index],
-                    result=result, from_cache=from_cache,
-                ))
-
-        # Resolve memo/store hits up front; group the misses by cache key
-        # (plus telemetry destination - a traced and an untraced grid
-        # point share a result but not a bundle) so duplicate grid points
-        # cost one simulation.
-        miss_indices: Dict[tuple, List[int]] = {}
-        for i, config in enumerate(configs):
-            group = (config.cache_key(), config.telemetry,
-                     config.telemetry_dir)
-            if group in miss_indices:
-                miss_indices[group].append(i)
-                continue
-            key = config.cache_key()
-            if self._telemetry_satisfied(config):
-                if key in self._memo:
-                    self.cache_hits += 1
-                    results[i] = self._memo[key]
-                    report(i, results[i], from_cache=True)
-                    continue
-                cached = self._load_store(config)
-                if cached is not None:
-                    self._memo[key] = cached
-                    self.cache_hits += 1
-                    results[i] = cached
-                    report(i, cached, from_cache=True)
-                    continue
-            miss_indices[group] = [i]
-
-        def finish(indices: List[int], result: RunResult) -> None:
-            self.simulated += 1
-            self._store_result(configs[indices[0]], result)
-            for j, index in enumerate(indices):
-                if j:
-                    self.cache_hits += 1
-                results[index] = result
-                report(index, result, from_cache=bool(j))
-
-        misses = list(miss_indices.values())
-        if len(misses) <= 1 or jobs <= 1:
-            for indices in misses:
-                finish(indices, run_simulation(configs[indices[0]]))
+        if len(sweep.misses) <= 1 or jobs <= 1:
+            self._run_serially(
+                sweep, lambda config, _number, warm_state, on_warm_state:
+                run_simulation(config, warm_state, on_warm_state))
         else:
-            workers = min(jobs, len(misses))
+            workers = min(jobs, len(sweep.misses))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
-                    pool.submit(_simulate_to_dict, configs[indices[0]]):
-                        indices
-                    for indices in misses
+                    pool.submit(_simulate_to_dict,
+                                sweep.configs[indices[0]]): indices
+                    for indices in sweep.misses
                 }
                 for future in as_completed(futures):
-                    finish(futures[future], result_from_dict(future.result()))
-
-        return [results[i] for i in range(total)]
+                    sweep.finish(futures[future],
+                                 result_from_dict(future.result()))
+        return sweep.ordered()
 
     def sweep_sliced(self, configs: Iterable[SimConfig],
                      jobs: Optional[int] = None,
@@ -479,81 +478,39 @@ class Runner:
         deleted as soon as its successor slice completes, so disk usage
         stays at one snapshot per in-flight run.
         """
-        if apply_env_scale:
-            configs = [self._scaled_config(c) for c in configs]
-        configs = [self._with_telemetry_dir(c) for c in configs]
-        total = len(configs)
+        sweep = self._plan_sweep(configs, progress, apply_env_scale)
         jobs = default_jobs() if jobs is None else max(1, jobs)
-        results: Dict[int, RunResult] = {}
-        completed = 0
-
-        def report(index: int, result: RunResult, from_cache: bool) -> None:
-            nonlocal completed
-            completed += 1
-            if progress is not None:
-                progress(SweepProgress(
-                    completed=completed, total=total, config=configs[index],
-                    result=result, from_cache=from_cache,
-                ))
-
-        miss_indices: Dict[tuple, List[int]] = {}
-        for i, config in enumerate(configs):
-            group = (config.cache_key(), config.telemetry,
-                     config.telemetry_dir)
-            if group in miss_indices:
-                miss_indices[group].append(i)
-                continue
-            key = config.cache_key()
-            if self._telemetry_satisfied(config):
-                if key in self._memo:
-                    self.cache_hits += 1
-                    results[i] = self._memo[key]
-                    report(i, results[i], from_cache=True)
-                    continue
-                cached = self._load_store(config)
-                if cached is not None:
-                    self._memo[key] = cached
-                    self.cache_hits += 1
-                    results[i] = cached
-                    report(i, cached, from_cache=True)
-                    continue
-            miss_indices[group] = [i]
-
-        def finish(indices: List[int], result: RunResult) -> None:
-            self.simulated += 1
-            self._store_result(configs[indices[0]], result)
-            for j, index in enumerate(indices):
-                if j:
-                    self.cache_hits += 1
-                results[index] = result
-                report(index, result, from_cache=bool(j))
-
-        misses = list(miss_indices.values())
+        misses = sweep.misses
         own_dir = checkpoint_dir is None
         directory = (Path(tempfile.mkdtemp(prefix="repro-slices-"))
                      if own_dir else Path(checkpoint_dir))
         directory.mkdir(parents=True, exist_ok=True)
+
+        def run_sliced(config: SimConfig, run_number: int,
+                       warm_state: Optional[bytes],
+                       on_warm_state: Optional[Callable[[bytes], None]],
+                       ) -> RunResult:
+            # Serial path: still slice through snapshot files so the
+            # single-process study exercises the same save/restore
+            # chain the pool does.  Only the first slice warms up.
+            previous: Optional[str] = None
+            slice_number = 0
+            while True:
+                slice_number += 1
+                target = directory / self._slice_name(
+                    config, run_number, slice_number)
+                status, payload = _advance_slice(
+                    config, previous, str(target), warm_state,
+                    on_warm_state)
+                if previous is not None:
+                    Path(previous).unlink(missing_ok=True)
+                if status == "done":
+                    return result_from_dict(payload)
+                previous = payload
+
         try:
             if len(misses) <= 1 or jobs <= 1:
-                # Serial path: still slice through snapshot files so the
-                # single-process study exercises the same save/restore
-                # chain the pool does.
-                for run_number, indices in enumerate(misses):
-                    config = configs[indices[0]]
-                    previous: Optional[str] = None
-                    slice_number = 0
-                    while True:
-                        slice_number += 1
-                        target = directory / self._slice_name(
-                            config, run_number, slice_number)
-                        status, payload = _advance_slice(
-                            config, previous, str(target))
-                        if previous is not None:
-                            Path(previous).unlink(missing_ok=True)
-                        if status == "done":
-                            finish(indices, result_from_dict(payload))
-                            break
-                        previous = payload
+                self._run_serially(sweep, run_sliced)
             else:
                 workers = min(jobs, len(misses))
                 slice_counts: Dict[int, int] = {}
@@ -561,7 +518,7 @@ class Runner:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = {}
                     for run_number, indices in enumerate(misses):
-                        config = configs[indices[0]]
+                        config = sweep.configs[indices[0]]
                         slice_counts[run_number] = 1
                         previous_paths[run_number] = None
                         target = directory / self._slice_name(
@@ -574,13 +531,14 @@ class Runner:
                                               return_when=FIRST_COMPLETED)
                         for future in done:
                             run_number, indices = futures.pop(future)
-                            config = configs[indices[0]]
+                            config = sweep.configs[indices[0]]
                             status, payload = future.result()
                             consumed = previous_paths[run_number]
                             if consumed is not None:
                                 Path(consumed).unlink(missing_ok=True)
                             if status == "done":
-                                finish(indices, result_from_dict(payload))
+                                sweep.finish(indices,
+                                             result_from_dict(payload))
                                 continue
                             previous_paths[run_number] = payload
                             slice_counts[run_number] += 1
@@ -594,8 +552,72 @@ class Runner:
         finally:
             if own_dir:
                 shutil.rmtree(directory, ignore_errors=True)
+        return sweep.ordered()
 
-        return [results[i] for i in range(total)]
+    def _plan_sweep(self, configs: Iterable[SimConfig],
+                    progress: Optional[ProgressCallback],
+                    apply_env_scale: bool) -> "_Sweep":
+        """Resolve a grid's memo/store hits and order its misses.
+
+        Hits are reported at once.  Misses are grouped by cache key
+        (plus telemetry destination - a traced and an untraced grid
+        point share a result but not a bundle) so duplicate grid points
+        cost one simulation; the groups are then ordered by warm key,
+        keeping first-appearance order, so runs that can share one
+        functional warmup sit next to each other.
+        """
+        if apply_env_scale:
+            configs = [self._scaled_config(c) for c in configs]
+        sweep = _Sweep(self, [self._with_telemetry_dir(c) for c in configs],
+                       progress)
+        miss_indices: Dict[tuple, List[int]] = {}
+        for i, config in enumerate(sweep.configs):
+            group = (config.cache_key(), config.telemetry,
+                     config.telemetry_dir)
+            if group in miss_indices:
+                miss_indices[group].append(i)
+                continue
+            cached = self.peek(config)
+            if cached is not None:
+                sweep.report(i, cached, from_cache=True)
+            else:
+                miss_indices[group] = [i]
+        by_warm_key: Dict[tuple, List[List[int]]] = {}
+        for indices in miss_indices.values():
+            by_warm_key.setdefault(
+                sweep.configs[indices[0]].warm_key(), []).append(indices)
+        sweep.misses = [indices for group in by_warm_key.values()
+                        for indices in group]
+        return sweep
+
+    def _run_serially(self, sweep: "_Sweep", simulate: "_Simulate") -> None:
+        """Run a sweep's misses in order, warming once per warm key.
+
+        The first run of a warm-key group warms the LLC cold.  When the
+        next run shares its key and the warmup was long enough to pay
+        (:data:`repro.sim.system.WARM_REUSE_MIN_RECORDS_PER_LINE`), it
+        also keeps the encoded post-warmup state
+        (:func:`repro.checkpoint.capture_warm_state`, ~0.14 MB for
+        hmmer), and the rest of the group restores that instead of
+        warming.  The state lives only in this call and is dropped as
+        the group's last run starts; a run with no later run sharing its
+        key never captures.  Warm-started results are bit-identical to
+        cold starts (``tests/test_functional_warmup.py``).
+        """
+        configs = sweep.configs
+        keys = [configs[indices[0]].warm_key() for indices in sweep.misses]
+        held: List[bytes] = []   # at most one encoded warm state
+        for number, indices in enumerate(sweep.misses):
+            shared = (number + 1 < len(keys)
+                      and keys[number + 1] == keys[number])
+            warm_state = held[0] if held else None
+            if not shared:
+                held.clear()
+            keep = held.append if shared and warm_state is None else None
+            result = simulate(configs[indices[0]], number, warm_state, keep)
+            if warm_state is not None:
+                self.warm_reused += 1
+            sweep.finish(indices, result, warm_started=warm_state is not None)
 
     @staticmethod
     def _slice_name(config: SimConfig, run_number: int,

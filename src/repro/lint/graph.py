@@ -54,8 +54,15 @@ ORDER_SANITIZERS = frozenset({"sorted", "min", "max", "len", "sum"})
 #: happen inside a ``with <lock>:`` scope.
 THREAD_SHARED_MARKER = "simlint: thread-shared"
 
-#: Registry variable name for SIM012 field exclusions.
-EXCLUDED_REGISTRY_NAME = "CACHE_KEY_EXCLUDED"
+#: SIM012: each key method and the module registry that lists, with a
+#: reason, the fields that method leaves out on purpose.  ``key`` is the
+#: FaultConfig-style result identity, checked only when a class has no
+#: ``cache_key``.
+KEY_REGISTRIES = {
+    "cache_key": "CACHE_KEY_EXCLUDED",
+    "key": "CACHE_KEY_EXCLUDED",
+    "warm_key": "WARM_KEY_EXCLUDED",
+}
 
 #: Method names whose return value is a digest/cache identity (SIM011
 #: sinks).  ``key`` is only a sink as a *method* of a class (FaultConfig
@@ -210,7 +217,7 @@ def _class_fields(node: ast.ClassDef) -> List[str]:
 
 
 def _parse_excluded_registry(value: ast.expr) -> Optional[Dict[str, str]]:
-    """``CACHE_KEY_EXCLUDED`` literal -> {field: reason}, else None."""
+    """``*_KEY_EXCLUDED`` literal -> {field: reason}, else None."""
     entries: Dict[str, str] = {}
     if isinstance(value, ast.Dict):
         for key, reason in zip(value.keys, value.values):
@@ -625,7 +632,7 @@ def build_module_summary(path: str, tree: ast.Module,
 
     functions: Dict[str, Summary] = {}
     classes: Dict[str, Summary] = {}
-    excluded: Optional[Dict[str, Any]] = None
+    excluded: Dict[str, Dict[str, Any]] = {}
 
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -635,15 +642,17 @@ def build_module_summary(path: str, tree: ast.Module,
             methods = frozenset(
                 sub.name for sub in stmt.body
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)))
-            key_method = ("cache_key" if "cache_key" in methods
-                          else "key" if "key" in methods else None)
+            identity = ("cache_key" if "cache_key" in methods
+                        else "key" if "key" in methods else None)
+            key_methods = [method for method in (identity, "warm_key")
+                           if method is not None and method in methods]
             classes[stmt.name] = {
                 "name": stmt.name,
                 "lineno": stmt.lineno,
                 "dataclass": _is_dataclass_decorated(stmt),
                 "fields": _class_fields(stmt),
                 "methods": sorted(methods),
-                "key_method": key_method,
+                "key_methods": key_methods,
                 "thread_shared": _marker_on_def(
                     stmt, source_lines, THREAD_SHARED_MARKER),
             }
@@ -656,10 +665,13 @@ def build_module_summary(path: str, tree: ast.Module,
             targets = (stmt.targets if isinstance(stmt, ast.Assign)
                        else [stmt.target])
             names = [t.id for t in targets if isinstance(t, ast.Name)]
-            if EXCLUDED_REGISTRY_NAME in names and stmt.value is not None:
+            registries = set(KEY_REGISTRIES.values()).intersection(names)
+            if registries and stmt.value is not None:
                 entries = _parse_excluded_registry(stmt.value)
                 if entries is not None:
-                    excluded = {"entries": entries, "line": stmt.lineno}
+                    for registry in registries:
+                        excluded[registry] = {"entries": entries,
+                                              "line": stmt.lineno}
 
     return {
         "path": path,

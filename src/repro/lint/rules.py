@@ -45,7 +45,9 @@ Flow-aware rules (computed from the project model in
   SIM001/SIM003 at witnessed source locations.
 * ``SIM012`` cache-key-completeness - a ``@dataclass`` field of a keyed
   config (``cache_key()``/``key()``) that the key neither reads nor the
-  module's ``CACHE_KEY_EXCLUDED`` registry excludes.
+  module's ``CACHE_KEY_EXCLUDED`` registry excludes; ``warm_key()`` is
+  held to ``WARM_KEY_EXCLUDED`` the same way and to reading only
+  ``cache_key()`` fields.
 * ``SIM013`` unlocked-shared-mutation - attribute mutation on a class
   marked ``# simlint: thread-shared`` outside a ``with <lock>:`` scope.
 * ``SIM100`` unused-suppression - a ``# simlint: ignore[...]`` comment
@@ -173,12 +175,14 @@ RULES: Dict[str, RuleInfo] = {
             rule_id="SIM012",
             name="cache-key-completeness",
             severity="error",
-            summary="keyed dataclass field without a digest decision: "
+            summary="keyed dataclass field without a key decision: "
                     "neither read by cache_key()/key() nor listed in "
-                    "CACHE_KEY_EXCLUDED",
+                    "CACHE_KEY_EXCLUDED (likewise warm_key() and "
+                    "WARM_KEY_EXCLUDED), or read by warm_key() but not "
+                    "by cache_key()",
             hint="add the field to the key tuple, or register it in the "
-                 "module's CACHE_KEY_EXCLUDED dict with a one-line "
-                 "reason why it cannot affect results",
+                 "key's *_KEY_EXCLUDED dict with a one-line reason why "
+                 "it cannot affect what that key identifies",
         ),
         RuleInfo(
             rule_id="SIM013",
@@ -205,7 +209,7 @@ RULES: Dict[str, RuleInfo] = {
 #: Version of the analysis semantics.  Part of the incremental cache
 #: key: bump it whenever any rule's logic (not just its metadata)
 #: changes, so stale per-file results can never leak into a report.
-RULESET_VERSION = "2.0.0"
+RULESET_VERSION = "2.1.0"
 
 # --------------------------------------------------------------------------
 # SIM002 / SIM003 call tables

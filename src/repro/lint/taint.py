@@ -9,11 +9,13 @@ values, and emits the three flow rules:
   sink's own return value is tainted, or a tainted argument is passed
   into a resolved sink call).  The finding message carries the full
   interprocedural witness path, source first.
-* **SIM012** - cache-key completeness: every field of a ``@dataclass``
-  that defines ``cache_key()``/``key()`` must be read (transitively,
-  through properties and same-class helpers) by that method, or appear
-  in the module's ``CACHE_KEY_EXCLUDED`` registry with a reason.  Stale
-  or contradictory registry entries are findings too.
+* **SIM012** - key completeness: every field of a ``@dataclass`` that
+  defines ``cache_key()``/``key()`` must be read (transitively, through
+  properties and same-class helpers) by that method, or appear in the
+  module's ``CACHE_KEY_EXCLUDED`` registry with a reason; ``warm_key()``
+  is checked the same way against ``WARM_KEY_EXCLUDED`` and may read
+  only fields ``cache_key()`` reads.  Stale or contradictory registry
+  entries are findings too.
 * **SIM013** - attribute mutations on classes marked
   ``# simlint: thread-shared`` must happen inside a ``with <lock>:``
   scope.  Ownership is resolved through ``self`` and through parameter
@@ -33,6 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.findings import Finding
 from repro.lint.graph import (
+    KEY_REGISTRIES,
     SINK_FUNCTION_NAMES,
     SINK_METHOD_NAMES,
     Dep,
@@ -323,54 +326,80 @@ def _check_thread_shared(summaries: Sequence[Summary],
 
 def check_cache_completeness(summary: Summary,
                              source_lines: Sequence[str]) -> List[Finding]:
-    """Every keyed dataclass field needs a digest decision (SIM012)."""
+    """Every keyed dataclass field needs a decision per key (SIM012).
+
+    Each key method is checked against its own registry
+    (:data:`~repro.lint.graph.KEY_REGISTRIES`), and ``warm_key()`` may
+    read only fields that ``cache_key()`` reads too: state a warm start
+    depends on must also decide the cached result.
+    """
     sources: Sources = {summary["path"]: source_lines}
     path = summary["path"]
     module = summary["module"]
-    excluded = summary["excluded"]
-    excluded_entries: Dict[str, str] = (
-        dict(excluded["entries"]) if excluded else {})
+    registries: Dict[str, Summary] = summary["excluded"]
     keyed = sorted(
         (name, info) for name, info in summary["classes"].items()
-        if info["dataclass"] and info["key_method"])
+        if info["dataclass"] and info["key_methods"])
     findings: List[Finding] = []
-    all_fields: Set[str] = set()
+    covered: Dict[str, Set[str]] = {}
 
     for name, info in keyed:
-        all_fields.update(info["fields"])
-        key_method = info["key_method"]
-        reads = _key_closure(summary, name, key_method, info)
-        key_fn = summary["functions"].get(f"{module}:{name}.{key_method}")
-        line = int(key_fn["lineno"]) if key_fn else int(info["lineno"])
-        missing = [field for field in info["fields"]
-                   if field not in reads and field not in excluded_entries]
-        if missing:
-            listed = ", ".join(repr(field) for field in missing)
-            findings.append(_finding(
-                "SIM012", path, line,
-                f"field(s) {listed} of {name} appear in neither "
-                f"{name}.{key_method}() nor CACHE_KEY_EXCLUDED",
-                sources,
-            ))
-        if excluded is not None:
-            for field in info["fields"]:
-                if field in excluded_entries and field in reads:
-                    findings.append(_finding(
-                        "SIM012", path, int(excluded["line"]),
-                        f"CACHE_KEY_EXCLUDED lists {field!r} but "
-                        f"{name}.{key_method}() reads it - pick one",
-                        sources,
-                    ))
-
-    if excluded is not None and keyed:
-        for entry in sorted(excluded_entries):
-            if entry not in all_fields:
+        reads_by_method: Dict[str, Set[str]] = {}
+        for key_method in info["key_methods"]:
+            registry_name = KEY_REGISTRIES[key_method]
+            registry = registries.get(registry_name)
+            entries: Dict[str, str] = registry["entries"] if registry else {}
+            covered.setdefault(registry_name, set()).update(info["fields"])
+            reads = _key_closure(summary, name, key_method, info)
+            reads_by_method[key_method] = reads
+            key_fn = summary["functions"].get(f"{module}:{name}.{key_method}")
+            line = int(key_fn["lineno"]) if key_fn else int(info["lineno"])
+            missing = [field for field in info["fields"]
+                       if field not in reads and field not in entries]
+            if missing:
+                listed = ", ".join(repr(field) for field in missing)
                 findings.append(_finding(
-                    "SIM012", path, int(excluded["line"]),
-                    f"stale CACHE_KEY_EXCLUDED entry {entry!r} matches "
-                    "no field of any keyed dataclass in this module",
+                    "SIM012", path, line,
+                    f"field(s) {listed} of {name} appear in neither "
+                    f"{name}.{key_method}() nor {registry_name}",
                     sources,
                 ))
+            if registry is not None:
+                for field in info["fields"]:
+                    if field in entries and field in reads:
+                        findings.append(_finding(
+                            "SIM012", path, int(registry["line"]),
+                            f"{registry_name} lists {field!r} but "
+                            f"{name}.{key_method}() reads it - pick one",
+                            sources,
+                        ))
+        warm_reads = reads_by_method.get("warm_key")
+        cache_reads = reads_by_method.get("cache_key")
+        if warm_reads is not None and cache_reads is not None:
+            unkeyed = [field for field in info["fields"]
+                       if field in warm_reads and field not in cache_reads]
+            if unkeyed:
+                warm_fn = summary["functions"][f"{module}:{name}.warm_key"]
+                listed = ", ".join(repr(field) for field in unkeyed)
+                findings.append(_finding(
+                    "SIM012", path, int(warm_fn["lineno"]),
+                    f"field(s) {listed} of {name} are read by "
+                    f"{name}.warm_key() but not by {name}.cache_key()",
+                    sources,
+                ))
+
+    if keyed:
+        for registry_name, registry in sorted(registries.items()):
+            fields = covered.get(registry_name, set())
+            for entry in sorted(registry["entries"]):
+                if entry not in fields:
+                    findings.append(_finding(
+                        "SIM012", path, int(registry["line"]),
+                        f"stale {registry_name} entry {entry!r} matches "
+                        "no field of any dataclass keyed by it in this "
+                        "module",
+                        sources,
+                    ))
     return findings
 
 

@@ -36,6 +36,52 @@ CACHE_KEY_EXCLUDED = {
 }
 
 
+#: SIM012 registry: SimConfig fields deliberately OUTSIDE warm_key().
+#: warm_key() names the state functional warmup leaves behind (LLC
+#: contents, trace cursor and RNG, DRAM write buffer), so every entry
+#: here must say why the field cannot change that state.  simlint
+#: checks this registry against warm_key() exactly as it checks
+#: CACHE_KEY_EXCLUDED against cache_key().
+WARM_KEY_EXCLUDED = {
+    "policy": "no policy machinery (eager scans, quota, slow writes) "
+              "runs before the event loop starts",
+    "slow_factor": "write-pulse timing; warmup has no timing",
+    "num_banks": "memory geometry; warmup never reaches memory",
+    "num_ranks": "memory geometry; warmup never reaches memory",
+    "expo_factor": "endurance model; warmup records no wear",
+    "capacity_bytes": "memory geometry; warmup never reaches memory",
+    "warmup_accesses": "length of the timed warmup that follows the "
+                       "functional one",
+    "measure_accesses": "length of the timed window",
+    "eager_scan_interval_ns": "eager scans are scheduled by start_run, "
+                              "after warmup",
+    "sample_period_ns": "profiling periods close on timed sample ticks; "
+                        "warmup takes none",
+    "target_lifetime_years": "wear-quota input; warmup records no wear",
+    "ratio_quota": "wear-quota input; warmup records no wear",
+    "energy_cell": "energy is derived from timed-window counters only",
+    "leveling_efficiency": "wear-leveling input; warmup records no wear",
+    "eager_selector": "picks eager candidates, which only timed eager "
+                      "scans request",
+    "flip_n_write": "scales write wear; warmup records no wear",
+    "cancel_threshold": "controller write cancellation; warmup never "
+                        "reaches the controller",
+    "eager_idle_max_accesses": "gates timed eager scans only",
+    "page_policy": "controller row-buffer policy; warmup never reaches "
+                   "the controller",
+    "read_scheduler": "controller read ordering; warmup never reaches "
+                      "the controller",
+    "sanitize": "runtime sanitizer is read-only",
+    "telemetry": "telemetry is observe-only and samples nothing during "
+                 "warmup",
+    "telemetry_dir": "output location, not a simulation input",
+    "telemetry_trace_capacity": "ring-buffer size, not a simulation input",
+    "checkpoint_every": "pauses fall in the timed run, after warmup",
+    "checkpoint_dir": "output location, not a simulation input",
+    "faults": "faults act on memory writes; warmup issues none",
+}
+
+
 def digest_for_key(key: Any) -> str:
     """Stable hex digest of a cache key.
 
@@ -167,6 +213,21 @@ class SimConfig:
             # every pre-fault cache digest) stays byte-identical.
             key = key + (self.faults.key(),)
         return key
+
+    def warm_key(self) -> Tuple[Any, ...]:
+        """Identity of the state functional warmup leaves behind.
+
+        Configs with equal warm keys warm the LLC, the trace and the
+        DRAM write buffer into the same state, so a sweep warms once per
+        key and restores that state into every other config sharing it
+        (:meth:`repro.experiments.runner.Runner.sweep`).  Every field
+        read here is also part of :meth:`cache_key`.
+        """
+        return (
+            self.workload, self.seed, self.llc_size_bytes, self.llc_assoc,
+            self.useless_threshold, self.functional_warmup_max,
+            self.functional_warmup_occupancy, self.dram_buffer_entries,
+        )
 
     def cache_digest(self) -> str:
         """Filename-safe digest of :meth:`cache_key` (see digest_for_key)."""

@@ -13,7 +13,7 @@ import json
 import random
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Union
 
 from repro.cache.llc import LastLevelCache
 from repro.core.wear_quota import WearQuota
@@ -41,6 +41,17 @@ if TYPE_CHECKING:
 
 class DeadlockError(RuntimeError):
     """The event queue drained while the core still had work to do."""
+
+
+#: A cold warmup is kept for reuse (``System.start_run``'s
+#: ``on_warm_state``) only when it replayed at least this many trace
+#: records per LLC line.  Restoring the state rebuilds every line, which
+#: costs about what replaying one record does, and capturing it costs
+#: about one more restore; so a group of n runs sharing a warm key gains
+#: only when warmup replays more than n/(n-1) records per line, at most
+#: 2.  Miss-heavy workloads fill the LLC in 1-1.25 records per line and
+#: warm cold; hmmer replays 9.
+WARM_REUSE_MIN_RECORDS_PER_LINE = 2
 
 
 def _resolve_workload(name: str) -> Union[WorkloadProfile, "WorkloadMix"]:
@@ -433,14 +444,42 @@ class System:
         self.start_run()
         return self.finish_run(max_events)
 
-    def start_run(self) -> None:
+    def start_run(self, warm_state: Optional[bytes] = None,
+                  on_warm_state: Optional[Callable[[bytes], None]] = None,
+                  ) -> None:
         """Warm up and arm the event loop (first phase of :meth:`run`).
 
         Split out so checkpointing callers can alternate
         :meth:`continue_run` with snapshot captures; plain callers just
         use :meth:`run`.
+
+        ``warm_state`` - bytes an earlier run with the same
+        :meth:`SimConfig.warm_key` handed to ``on_warm_state`` - replaces
+        the functional warmup with a restore of the state it left.
+        ``on_warm_state`` receives that encoded state after a cold
+        warmup long enough to be worth restoring (see
+        :data:`WARM_REUSE_MIN_RECORDS_PER_LINE`).  It is not called
+        after a shorter warmup, nor when the workload's trace cannot be
+        captured (a multiprogrammed mix); later runs then warm cold.
         """
-        self._functional_warmup()
+        # Local imports: repro.checkpoint imports this module.
+        if warm_state is not None:
+            from repro.checkpoint import restore_warm_state
+            restore_warm_state(self, warm_state)
+        else:
+            consumed = self._functional_warmup()
+            cache = self.llc.cache
+            if on_warm_state is not None and consumed >= (
+                    WARM_REUSE_MIN_RECORDS_PER_LINE
+                    * cache.num_sets * cache.assoc):
+                from repro.checkpoint import (CheckpointUnsupportedError,
+                                              capture_warm_state)
+                try:
+                    encoded = capture_warm_state(self)
+                except CheckpointUnsupportedError:
+                    pass
+                else:
+                    on_warm_state(encoded)
         self.core.start()
         if self.telemetry.enabled:
             self.telemetry.tracer.record(
@@ -667,6 +706,14 @@ class System:
         return result
 
 
-def run_simulation(config: SimConfig) -> RunResult:
-    """Convenience wrapper: build a :class:`System` and run it."""
-    return System(config).run()
+def run_simulation(config: SimConfig, warm_state: Optional[bytes] = None,
+                   on_warm_state: Optional[Callable[[bytes], None]] = None,
+                   ) -> RunResult:
+    """Convenience wrapper: build a :class:`System` and run it.
+
+    ``warm_state`` and ``on_warm_state`` pass through to
+    :meth:`System.start_run`.
+    """
+    system = System(config)
+    system.start_run(warm_state, on_warm_state)
+    return system.finish_run()

@@ -24,7 +24,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.export import run_result_to_dict
@@ -218,12 +218,16 @@ def test_checkpoint_at_arbitrary_boundary(tmp_path_factory, every: int
 @given(every=st.integers(min_value=200, max_value=2500))
 def test_double_round_trip_idempotent(tmp_path_factory, every: int) -> None:
     """restore(snapshot) must re-capture to the identical bytes: the
-    rebuilt callback closures and identity tables are shape-exact."""
+    rebuilt callback closures and identity tables are shape-exact.
+
+    _PROP_CONFIG measures ~2,400 accesses, so the largest cadences end
+    the run without pausing and leave nothing to snapshot; those draws
+    are discarded (the boundary test above covers them)."""
     tmp = tmp_path_factory.mktemp("roundtrip")
     system = System(dataclasses.replace(_PROP_CONFIG,
                                         checkpoint_every=every))
     system.start_run()
-    assert system.continue_run() is None
+    assume(system.continue_run() is None)
     path = save_snapshot(system, tmp / "first.ckpt")
     first = path.read_bytes()
     assert snapshot_bytes(restore_system(path)) == first

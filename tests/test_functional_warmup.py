@@ -1,7 +1,19 @@
-"""Tests for the functional LLC warmup phase."""
+"""Tests for the functional LLC warmup phase and warm-state reuse."""
 
+import logging
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import repro.checkpoint
 from repro import SimConfig
-from repro.sim.system import System
+from repro.cache.llc import LastLevelCache
+from repro.core.policies import PAPER_POLICY_NAMES
+from repro.experiments.faults import sliced_survival_configs
+from repro.experiments.runner import Runner
+from repro.sim.system import System, run_simulation
+from repro.store import MemoryStore, result_to_dict
 
 
 def make_system(**kwargs):
@@ -65,3 +77,213 @@ def test_zero_timed_warmup_still_works():
                          functional_warmup_max=50_000)
     result = system.run()
     assert result.accesses == 2000
+
+
+# ---------------------------------------------------------------------------
+# Warm-state reuse: a serial sweep warms once per SimConfig.warm_key() and
+# restores that state into the other runs.  Every warm start must be
+# bit-identical to a cold start of the same config.
+# ---------------------------------------------------------------------------
+
+SMALL = dict(warmup_accesses=1000, measure_accesses=2000,
+             llc_size_bytes=256 * 1024)
+
+
+def sweep(configs, sliced=False, **kwargs):
+    """(runner, results, progress reports) of a serial cold-store sweep."""
+    runner = Runner(store=MemoryStore())
+    reports = []
+    run = runner.sweep_sliced if sliced else runner.sweep
+    results = run(configs, jobs=1, progress=reports.append,
+                  apply_env_scale=False, **kwargs)
+    return runner, results, reports
+
+
+def assert_matches_cold(configs, results):
+    for config, result in zip(configs, results):
+        assert result_to_dict(result) == result_to_dict(
+            run_simulation(config)), config.policy_name
+
+
+@pytest.fixture
+def warm_chunk_calls(monkeypatch):
+    """Counts LastLevelCache.warm_chunk calls (the fast warmup loop)."""
+    calls = []
+    original = LastLevelCache.warm_chunk
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(LastLevelCache, "warm_chunk", counted)
+    return calls
+
+
+@pytest.fixture
+def captures(monkeypatch):
+    """Counts warm-state captures."""
+    calls = []
+    original = repro.checkpoint.capture_warm_state
+
+    def counted(system):
+        calls.append(system.config)
+        return original(system)
+
+    monkeypatch.setattr(repro.checkpoint, "capture_warm_state", counted)
+    return calls
+
+
+def test_warm_key_ignores_policy_and_timing():
+    base = SimConfig("hmmer", "Norm")
+    assert base.warm_key() == SimConfig(
+        "hmmer", "BE-Mellow+SC+WQ", slow_factor=4.0, num_banks=8,
+        warmup_accesses=1, measure_accesses=5).warm_key()
+    assert base.warm_key() != SimConfig("hmmer", "Norm", seed=2).warm_key()
+    assert base.warm_key() != SimConfig(
+        "hmmer", "Norm", llc_size_bytes=1 << 20).warm_key()
+
+
+@pytest.mark.parametrize("workload", ["hmmer", "lbm"])
+def test_warm_started_sweep_matches_cold_runs(workload, captures):
+    configs = [SimConfig(workload, policy, **SMALL)
+               for policy in PAPER_POLICY_NAMES]
+    runner, results, reports = sweep(configs)
+    assert_matches_cold(configs, results)
+    assert runner.warm_reused == len(configs) - 1
+    assert len(captures) == 1
+    assert [r.warm_started for r in reports] == [False] + [True] * 8
+
+
+def test_sweep_groups_interleaved_warm_keys(captures):
+    # Policy-major grid: the two seeds interleave in input order.
+    configs = [SimConfig("hmmer", policy, seed=seed, **SMALL)
+               for policy in ("Norm", "Slow+SC", "B-Mellow+SC")
+               for seed in (1, 2)]
+    runner, results, reports = sweep(configs)
+    assert [r.config.seed for r in reports] == [1, 1, 1, 2, 2, 2]
+    assert [result.policy for result in results] == [
+        c.policy_name for c in configs]
+    assert_matches_cold(configs, results)
+    assert runner.warm_reused == 4
+    assert len(captures) == 2
+
+
+def test_warm_started_sliced_fault_grid_matches_cold_runs(captures):
+    # A 256 KB LLC: zeusmp's warmup then replays 2 records per line,
+    # enough to be captured (WARM_REUSE_MIN_RECORDS_PER_LINE).
+    configs = [replace(config, llc_size_bytes=SMALL["llc_size_bytes"])
+               for config in sliced_survival_configs(
+                   "zeusmp", ("Norm", "BE-Mellow+SC"), seeds=2, scale=0.01,
+                   slices=3)]
+    runner, results, _ = sweep(configs, sliced=True)
+    assert all(c.faults is not None for c in configs)
+    assert_matches_cold(configs, results)
+    assert runner.warm_reused == 2
+    assert len(captures) == 2
+
+
+def test_warm_started_telemetry_bundle_is_byte_identical(tmp_path):
+    configs = [SimConfig("lbm", policy, telemetry=True,
+                         telemetry_dir=str(tmp_path / f"sweep-{policy}"),
+                         **SMALL)
+               for policy in ("Norm", "BE-Mellow+SC+WQ")]
+    runner, results, _ = sweep(configs)
+    assert runner.warm_reused == 1
+    for config, result in zip(configs, results):
+        cold = replace(config, telemetry_dir=str(
+            tmp_path / f"cold-{config.policy_name}"))
+        assert result_to_dict(result) == result_to_dict(run_simulation(cold))
+        warm_bundle = sorted(Path(config.telemetry_dir).iterdir())
+        cold_bundle = sorted(Path(cold.telemetry_dir).iterdir())
+        assert [p.name for p in warm_bundle] == [p.name for p in cold_bundle]
+        for warm_file, cold_file in zip(warm_bundle, cold_bundle):
+            assert warm_file.read_bytes() == cold_file.read_bytes(), (
+                warm_file.name)
+
+
+@pytest.mark.parametrize("env", ["REPRO_SANITIZE", "REPRO_NO_FASTPATH"])
+def test_warm_started_sweep_matches_cold_runs_under_env(env, monkeypatch,
+                                                        captures):
+    monkeypatch.setenv(env, "1")
+    configs = [SimConfig("hmmer", policy, **SMALL)
+               for policy in ("Norm", "BE-Mellow+SC+WQ", "Slow+SC")]
+    runner, results, _ = sweep(configs)
+    assert_matches_cold(configs, results)
+    assert runner.warm_reused == 2
+    assert len(captures) == 1
+
+
+def test_warm_started_dram_buffer_matches_cold_runs():
+    configs = [SimConfig("lbm", policy, dram_buffer_entries=64, **SMALL)
+               for policy in ("Norm", "BE-Mellow+SC+WQ")]
+    runner, results, _ = sweep(configs)
+    assert runner.warm_reused == 1
+    assert_matches_cold(configs, results)
+
+
+def test_mix_falls_back_to_cold_warmup(caplog, warm_chunk_calls):
+    configs = [SimConfig("mix_light_heavy", policy, **SMALL)
+               for policy in ("Norm", "Slow+SC")]
+    cold_calls = 0
+    for config in configs:
+        before = len(warm_chunk_calls)
+        run_simulation(config)
+        cold_calls += len(warm_chunk_calls) - before
+    del warm_chunk_calls[:]
+    with caplog.at_level(logging.WARNING):
+        runner, results, reports = sweep(configs)
+    assert caplog.records == []
+    assert runner.warm_reused == 0
+    assert not any(r.warm_started for r in reports)
+    assert len(warm_chunk_calls) == cold_calls
+    assert_matches_cold(configs, results)
+
+
+def test_runs_without_shared_warm_keys_warm_as_before(warm_chunk_calls,
+                                                      captures):
+    configs = [SimConfig("hmmer", "Norm", seed=seed, **SMALL)
+               for seed in (1, 2, 3)]
+    per_run = []
+    for config in configs:
+        before = len(warm_chunk_calls)
+        run_simulation(config)
+        per_run.append(len(warm_chunk_calls) - before)
+    assert min(per_run) > 0
+
+    del warm_chunk_calls[:]
+    runner = Runner(store=MemoryStore())
+    runner.run(configs[0])
+    assert len(warm_chunk_calls) == per_run[0]
+
+    del warm_chunk_calls[:]
+    sweep([configs[1]])
+    assert len(warm_chunk_calls) == per_run[1]
+
+    del warm_chunk_calls[:]
+    runner, _, _ = sweep(configs)
+    assert len(warm_chunk_calls) == sum(per_run)
+    assert runner.warm_reused == 0
+    assert captures == []
+
+
+def test_short_warmup_is_not_captured(warm_chunk_calls, captures):
+    # lbm fills the default 2 MB LLC in ~1.25 records per line: a restore
+    # would cost about what the warmup does, so every run warms cold.
+    configs = [SimConfig("lbm", policy, warmup_accesses=1000,
+                         measure_accesses=2000)
+               for policy in ("Norm", "Slow+SC", "BE-Mellow+SC")]
+    system = System(configs[0])
+    cache = system.llc.cache
+    assert system._functional_warmup() < 2 * cache.num_sets * cache.assoc
+
+    del warm_chunk_calls[:]
+    run_simulation(configs[0])
+    per_run = len(warm_chunk_calls)
+
+    del warm_chunk_calls[:]
+    runner, results, reports = sweep(configs)
+    assert captures == []
+    assert runner.warm_reused == 0
+    assert not any(r.warm_started for r in reports)
+    assert len(warm_chunk_calls) == len(configs) * per_run
+    assert_matches_cold(configs, results)

@@ -202,6 +202,89 @@ def test_sim012_plain_class_without_key_is_exempt():
             misses: int = 0
     """) == []
 
+WARM_FIXTURE = """\
+    from dataclasses import dataclass
+
+    CACHE_KEY_EXCLUDED = {}
+    WARM_KEY_EXCLUDED = {'b': 'timing only'}
+
+    @dataclass
+    class Config:
+        a: int = 1
+        b: int = 2
+
+        def cache_key(self):
+            return (self.a, self.b)
+
+        def warm_key(self):
+            return (self.a,)
+"""
+
+def test_sim012_warm_key_registry_excuses_field():
+    assert rule_ids(WARM_FIXTURE) == []
+
+def test_sim012_warm_key_checked_against_its_own_registry():
+    src = WARM_FIXTURE.replace("a: int = 1", "a: int = 1\n        c: int = 3")
+    src = src.replace("return (self.a, self.b)",
+                      "return (self.a, self.b, self.c)")
+    findings = lint_source(textwrap.dedent(src))
+    assert ids(findings) == ["SIM012"]
+    assert "'c'" in findings[0].message
+    assert "warm_key()" in findings[0].message
+    assert "WARM_KEY_EXCLUDED" in findings[0].message
+    # CACHE_KEY_EXCLUDED does not excuse a field from the warm key.
+    src = src.replace("CACHE_KEY_EXCLUDED = {}",
+                      "CACHE_KEY_EXCLUDED = {'c': 'wrong registry'}")
+    messages = [f.message for f in lint_source(textwrap.dedent(src))]
+    assert any("WARM_KEY_EXCLUDED" in m and "'c'" in m for m in messages)
+
+def test_sim012_warm_key_must_read_only_cache_key_fields():
+    findings = lint_source(textwrap.dedent("""\
+        from dataclasses import dataclass
+
+        CACHE_KEY_EXCLUDED = {'b': 'claimed inert'}
+
+        @dataclass
+        class Config:
+            a: int = 1
+            b: int = 2
+
+            def cache_key(self):
+                return (self.a,)
+
+            def warm_key(self):
+                return (self.a, self.b)
+    """))
+    assert ids(findings) == ["SIM012"]
+    assert "'b'" in findings[0].message
+    assert "not by Config.cache_key()" in findings[0].message
+
+def test_sim012_stale_warm_key_registry_entry():
+    src = WARM_FIXTURE.replace("{'b': 'timing only'}",
+                               "{'b': 'timing only', 'zz': 'left behind'}")
+    findings = lint_source(textwrap.dedent(src))
+    assert ids(findings) == ["SIM012"]
+    assert "stale WARM_KEY_EXCLUDED" in findings[0].message
+
+def test_sim012_new_simconfig_field_needs_a_warm_key_decision(tmp_path):
+    # The real SimConfig: a new knob added to cache_key() but to neither
+    # warm_key() nor WARM_KEY_EXCLUDED must fail the lint.
+    from pathlib import Path
+
+    import repro.sim.config as config_module
+    source = Path(config_module.__file__).read_text()
+    assert lint_source(source, path="config.py") == []
+    source = source.replace(
+        "    read_scheduler: str = \"fcfs\"",
+        "    read_scheduler: str = \"fcfs\"\n    new_knob: int = 0", 1)
+    source = source.replace(
+        "self.page_policy, self.read_scheduler,",
+        "self.page_policy, self.read_scheduler, self.new_knob,", 1)
+    findings = lint_source(source, path="config.py")
+    assert ids(findings) == ["SIM012"]
+    assert "'new_knob'" in findings[0].message
+    assert "WARM_KEY_EXCLUDED" in findings[0].message
+
 def test_sim012_suppression():
     src = SIM012_MISSING.replace(
         "def cache_key(self):",
