@@ -8,7 +8,7 @@ export PYTHONPATH := src
 
 .PHONY: check lint simlint typecheck test sanitize coverage \
 	bench-sanitizer trace-demo bench-telemetry bench-hotpath \
-	bench-hotpath-miss bench-sweep-hit
+	bench-hotpath-miss bench-sweep-hit bench-survival
 
 check:
 	$(PYTHON) -m repro check
@@ -76,3 +76,10 @@ bench-hotpath-miss:
 # "Warm-state reuse" in docs/performance.md).
 bench-sweep-hit:
 	$(PYTHON) perfbench/run.py --workload sweep-hit --seed 1 --seconds 33 --trace 0
+
+# Fault-survival claim: the zeusmp survival grid sliced through
+# checkpoints, with write-verify on the fast controller spine, the
+# columnar LLC checkpoint section and one warmup per seed (see
+# docs/performance.md).
+bench-survival:
+	$(PYTHON) perfbench/run.py --workload survival-sliced --seed 1 --seconds 33 --trace 0

@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.system import System
 
 #: Version of the *state* layout below (the file envelope has its own).
-STATE_SCHEMA_VERSION = 1
+STATE_SCHEMA_VERSION = 2
 
 _CTRL_STATS_FIELDS: Tuple[str, ...] = (
     "reads_from_llc", "writes_from_llc", "eager_from_llc", "reads_issued",
@@ -401,12 +401,18 @@ def _capture_llc(system: "System") -> Dict[str, Any]:
     lru = llc.cache
     deadblock = llc.deadblock
     age = deadblock.age_threshold
+    # Columnar lines: per-set lengths plus flat, set-major, MRU-first
+    # field columns.  Four long lists decode far faster than one small
+    # list per line, and allocate too few containers to provoke GC.
+    lines = list(itertools.chain.from_iterable(lru.sets))
     return {
         "stats": _fields_to_dict(llc.stats, _LLC_STATS_FIELDS),
         "rng": _rng_to_json(llc.rng),
-        "sets": [[[line.tag, bool(line.dirty), bool(line.eager_cleaned),
-                   line.last_touch] for line in lines]
-                 for lines in lru.sets],
+        "lengths": [len(set_lines) for set_lines in lru.sets],
+        "tags": [line.tag for line in lines],
+        "dirty": [bool(line.dirty) for line in lines],
+        "eager_cleaned": [bool(line.eager_cleaned) for line in lines],
+        "last_touch": [line.last_touch for line in lines],
         "set_access_counts": list(lru.set_access_counts),
         "profiler": {
             "hit_counters": list(llc.profiler.hit_counters),
@@ -429,23 +435,28 @@ def _restore_llc(system: "System", state: Dict[str, Any]) -> None:
     lru: LRUCache = llc.cache
     _fields_from_dict(llc.stats, _LLC_STATS_FIELDS, state["stats"])
     _rng_from_json(llc.rng, state["rng"])
-    if len(state["sets"]) != lru.num_sets:
+    lengths = state["lengths"]
+    if len(lengths) != lru.num_sets:
         raise CheckpointError(
-            f"LLC geometry changed: snapshot has {len(state['sets'])} "
+            f"LLC geometry changed: snapshot has {len(lengths)} "
             f"sets, live cache has {lru.num_sets}")
-    for index, rows in enumerate(state["sets"]):
-        # Rows are [tag, dirty, eager_cleaned, last_touch] with JSON
-        # booleans, CacheLine's positional field order; starmap builds
-        # a 2 MB LLC's 32K lines about twice as fast as keyword calls.
-        lru.sets[index][:] = itertools.starmap(CacheLine, rows)
-    lru.set_access_counts[:] = state["set_access_counts"]
-    if lru._fastpath:
-        for index, lines in enumerate(lru.sets):
-            tags = [line.tag for line in lines]
-            lru._tag_sets[index][:] = tags
+    tags = state["tags"]
+    # The columns follow CacheLine's positional field order, so one map
+    # builds every line without a per-line argument tuple.
+    lines = list(map(CacheLine, tags, state["dirty"],
+                     state["eager_cleaned"], state["last_touch"]))
+    fastpath = lru._fastpath
+    end = 0
+    for index, length in enumerate(lengths):
+        start, end = end, end + length
+        lru.sets[index][:] = lines[start:end]
+        if fastpath:
+            set_tags = tags[start:end]
+            lru._tag_sets[index][:] = set_tags
             members = lru._tag_members[index]
             members.clear()
-            members.update(tags)
+            members.update(set_tags)
+    lru.set_access_counts[:] = state["set_access_counts"]
     # hit_counters / buckets are aliased by the LLC hot path
     # (llc._hit_counters, llc._db_buckets); restore strictly in place.
     profiler = llc.profiler

@@ -80,7 +80,7 @@ def _encode_snapshot(config: SimConfig, state: Dict[str, Any]) -> bytes:
         "schema": SNAPSHOT_SCHEMA_VERSION,
         "sha256": hashlib.sha256(body_bytes).hexdigest(),
         "body": base64.b64encode(
-            zlib.compress(body_bytes, 6)).decode("ascii"),
+            zlib.compress(body_bytes, 1)).decode("ascii"),
     }
     return json.dumps(envelope, sort_keys=True).encode("utf-8")
 

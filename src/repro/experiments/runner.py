@@ -39,12 +39,12 @@ Environment knobs:
 
 from __future__ import annotations
 
+import concurrent.futures
 import logging
 import os
 import shutil
 import tempfile
-from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
-                                as_completed, wait)
+from concurrent.futures import FIRST_COMPLETED, as_completed, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
@@ -443,7 +443,10 @@ class Runner:
                 run_simulation(config, warm_state, on_warm_state))
         else:
             workers = min(jobs, len(sweep.misses))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # Looked up at use: concurrent.futures imports multiprocessing
+            # only then, so serial sweeps never pay for it.
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=workers) as pool:
                 futures = {
                     pool.submit(_simulate_to_dict,
                                 sweep.configs[indices[0]]): indices
@@ -515,7 +518,8 @@ class Runner:
                 workers = min(jobs, len(misses))
                 slice_counts: Dict[int, int] = {}
                 previous_paths: Dict[int, Optional[str]] = {}
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+                with concurrent.futures.ProcessPoolExecutor(
+                        max_workers=workers) as pool:
                     futures = {}
                     for run_number, indices in enumerate(misses):
                         config = sweep.configs[indices[0]]
@@ -594,9 +598,8 @@ class Runner:
         """Run a sweep's misses in order, warming once per warm key.
 
         The first run of a warm-key group warms the LLC cold.  When the
-        next run shares its key and the warmup was long enough to pay
-        (:data:`repro.sim.system.WARM_REUSE_MIN_RECORDS_PER_LINE`), it
-        also keeps the encoded post-warmup state
+        next run shares its key, it also keeps the encoded post-warmup
+        state
         (:func:`repro.checkpoint.capture_warm_state`, ~0.14 MB for
         hmmer), and the rest of the group restores that instead of
         warming.  The state lives only in this call and is dropped as

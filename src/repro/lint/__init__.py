@@ -12,11 +12,34 @@ Two layers share this package:
 See ``docs/static-analysis.md`` for the rule catalogue and invariant list.
 """
 
-from repro.lint.engine import (LintOptions, LintReport, analyze_paths,
-                               lint_paths, lint_source)
-from repro.lint.findings import Finding, RuleInfo, summarize
-from repro.lint.rules import RULES, RULESET_VERSION
+import importlib
+from typing import Any
+
 from repro.lint.sanitize import InvariantViolation, env_enabled, resolve
+
+# Every simulator module imports this package for the sanitizer, so the
+# static analyzer loads on first use instead: its imports cost about a
+# third of ``import repro``.
+_ANALYZER_EXPORTS = {
+    "LintOptions": "repro.lint.engine",
+    "LintReport": "repro.lint.engine",
+    "analyze_paths": "repro.lint.engine",
+    "lint_paths": "repro.lint.engine",
+    "lint_source": "repro.lint.engine",
+    "Finding": "repro.lint.findings",
+    "RuleInfo": "repro.lint.findings",
+    "summarize": "repro.lint.findings",
+    "RULES": "repro.lint.rules",
+    "RULESET_VERSION": "repro.lint.rules",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _ANALYZER_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
 
 __all__ = [
     "Finding",

@@ -284,13 +284,13 @@ class MemoryController:
 
         # --------------------------------------------------------------
         # Hot-path twin switch and its hoisted state (see docs/performance.md).
-        # Engaged only when the System asks for it AND nothing that needs
-        # the reference spine is active: the sanitizer's invariant checks
-        # and fault injection (write-verify at completion) run reference-
-        # only by design.  The switch never changes observable results -
-        # the fast twins below are bit-identical by construction - and
-        # never enters the result-cache key.
-        self._fastpath = bool(fastpath) and not self._sanitize and faults is None
+        # Engaged only when the System asks for it and the sanitizer is
+        # off: its invariant checks run reference-only by design.  Fault
+        # injection rides on both spines through the shared hooks
+        # _record_damage and _verify_write.  The switch never changes
+        # observable results - the fast twins below are bit-identical by
+        # construction - and never enters the result-cache key.
+        self._fastpath = bool(fastpath) and not self._sanitize
         self._num_banks = self.amap.num_banks
         self._banks_per_rank = self.amap.banks_per_rank
         self._blocks_per_row = self.amap.blocks_per_row
@@ -707,23 +707,28 @@ class MemoryController:
             ts.record(
                 self.events.now, EV_COMPLETE, bank.index, request.block,
                 request.req_id, request.speed_factor, request.kind)
-        if self.faults is not None:
-            outcome = self.faults.verify_write(
-                request.bank, self.amap.bank_local_block(request.block),
-                request.retries,
-            )
-            if outcome != WRITE_OK and self._handle_fault_outcome(
-                    bank, request, outcome):
-                # Re-issued as a verify retry: completion (and the
-                # callback) is deferred until the retry finishes.
-                return
+        if self.faults is not None and self._verify_write(bank.index,
+                                                          request):
+            # Re-issued as a verify retry: completion (and the callback)
+            # is deferred until the retry finishes.
+            return
         if request.callback is not None:
             request.callback(self.events.now)
         self._try_issue_bank(bank.index)
 
-    def _handle_fault_outcome(self, bank: Bank, request: Request,
-                              outcome: str) -> bool:
-        """Apply a non-OK write-verify outcome; True = write re-issued."""
+    # ------------------------------------------------------------------
+    # Fault hooks, shared by both spines
+    # ------------------------------------------------------------------
+
+    def _verify_write(self, bank_index: int, request: Request) -> bool:
+        """Write-verify a completed write; True = re-issued as a retry."""
+        assert self.faults is not None
+        outcome = self.faults.verify_write(
+            request.bank, self.amap.bank_local_block(request.block),
+            request.retries,
+        )
+        if outcome == WRITE_OK:
+            return False
         now = self.events.now
         ts = self._ts
         if outcome == WRITE_RETRY:
@@ -731,30 +736,46 @@ class MemoryController:
             request.progress_ns = 0.0
             if ts is not None:
                 ts.record(
-                    now, EV_VERIFY_RETRY, bank.index, request.block,
+                    now, EV_VERIFY_RETRY, bank_index, request.block,
                     request.req_id, request.speed_factor,
                     f"retry={request.retries}")
-            # The bank just freed up, so the retry starts immediately -
-            # no queue round trip, which also means a full write queue
-            # can never strand a retry.
-            self._issue_write(bank, request)
+            # The bank just freed up, so the retry starts immediately on
+            # the Mellow Writes slow path - no queue round trip, which
+            # also means a full write queue can never strand a retry.
+            if self._fastpath:
+                self._issue_write_fast(bank_index, request, now)
+            else:
+                self._issue_write(self.banks[bank_index], request)
             return True
         if outcome == WRITE_RETIRED:
-            bank.lines_retired += 1
+            self.banks[bank_index].lines_retired += 1
             if ts is not None:
                 ts.record(
-                    now, EV_LINE_RETIRE, bank.index, request.block,
+                    now, EV_LINE_RETIRE, bank_index, request.block,
                     request.req_id, 0.0, request.kind)
         elif outcome == WRITE_FATAL:
             if ts is not None:
                 ts.record(
-                    now, EV_UNCORRECTABLE, bank.index, request.block,
+                    now, EV_UNCORRECTABLE, bank_index, request.block,
                     request.req_id, 0.0, request.kind)
             if self.on_fatal is not None:
                 self.on_fatal(now)
         # WRITE_CORRECTED needs no controller action: the injector has
         # already counted it, and ECC repaired the line in place.
         return False
+
+    def _record_damage(self, request: Request, local: int, factor: float,
+                       fraction: float) -> None:
+        """Age the written line's cells by the wear just deposited."""
+        assert self.faults is not None
+        newly_dead = self.faults.record_damage(
+            request.bank, local, factor, fraction,
+        )
+        if newly_dead and self._ts is not None:
+            self._ts.record(
+                self.events.now, EV_CELL_FAIL, request.bank,
+                request.block, request.req_id, factor,
+                f"cells={newly_dead}")
 
     def _record_wear(self, request: Request, fraction: float) -> None:
         factor = request.speed_factor
@@ -779,14 +800,7 @@ class MemoryController:
             damage = self.wear.model.damage_per_write(factor) * fraction
             self.quota.record_wear(request.bank, damage)
         if self.faults is not None:
-            newly_dead = self.faults.record_damage(
-                request.bank, local, factor, fraction,
-            )
-            if newly_dead and self._ts is not None:
-                self._ts.record(
-                    self.events.now, EV_CELL_FAIL, request.bank,
-                    request.block, request.req_id, factor,
-                    f"cells={newly_dead}")
+            self._record_damage(request, local, factor, fraction)
 
     # ------------------------------------------------------------------
     # Hot-path twins (REPRO_NO_FASTPATH=1 forces the reference spine; the
@@ -953,13 +967,20 @@ class MemoryController:
             self.events.schedule(
                 finish, lambda: self._complete_read_fast(bank_index, op))
             return
-        # WRITE or EAGER from here on.
+        self._issue_write_fast(bank_index, request, now)
+
+    def _issue_write_fast(self, bank_index: int, request: Request,
+                          now: float) -> None:   # simlint: hotpath
+        """Hot-path :meth:`_issue_write` twin (WRITE or EAGER requests)."""
         progress = request.progress_ns
         if progress > 0.0:
             # Resuming a paused write: the pulse speed is committed.
             factor = request.speed_factor
         else:
-            if request.kind == EAGER:
+            if request.retries:
+                # Write-verify retry: always the Mellow Writes slow path.
+                factor = self.timing.slow_factor
+            elif request.kind == EAGER:
                 factor = self._eager_factor
             else:
                 static = self._static_write_factor
@@ -981,6 +1002,7 @@ class MemoryController:
             request.speed_factor = factor
         slow = factor > 1.0
         request.attempts += 1
+        burst = self._burst
         start = now
         if start < self.bus_free_ns:
             start = self.bus_free_ns
@@ -990,6 +1012,7 @@ class MemoryController:
         if remaining < 0.0:
             remaining = 0.0
         finish = pulse_start + remaining
+        stats = self.stats
         if slow:
             stats.writes_issued_slow += 1
         else:
@@ -997,6 +1020,7 @@ class MemoryController:
         eager = request.kind == EAGER
         if eager:
             stats.eager_issued += 1
+        ts = self._ts
         if ts is not None:
             if slow:
                 ts.pend_writes_slow += 1
@@ -1056,7 +1080,7 @@ class MemoryController:
 
     def _complete_write_fast(self, bank_index: int,
                              op: InFlight) -> None:   # simlint: hotpath
-        """Hot-path :meth:`_complete_write` twin (fault-free by contract)."""
+        """Hot-path :meth:`_complete_write` twin, write-verify included."""
         if self._bank_in_flight[bank_index] is not op:
             self._try_issue_bank_fast(bank_index)
             return
@@ -1078,6 +1102,9 @@ class MemoryController:
             ts.record(self.events.now, EV_COMPLETE, bank_index,
                       request.block, request.req_id,
                       request.speed_factor, request.kind)
+        if self.faults is not None and self._verify_write(bank_index,
+                                                          request):
+            return
         callback = request.callback
         if callback is not None:
             callback(self.events.now)
@@ -1085,12 +1112,12 @@ class MemoryController:
 
     def _record_wear_fast(self, request: Request,
                           fraction: float) -> None:   # simlint: hotpath
-        """Hot-path :meth:`_record_wear` twin: no sanitizer, no faults."""
+        """Hot-path :meth:`_record_wear` twin: no sanitizer check."""
         factor = request.speed_factor
         if self.wear_scaler is not None:
             fraction *= self.wear_scaler()
-        self.wear.record_write_fast(
-            request.bank, factor, request.block // self._num_banks, fraction)
+        local = request.block // self._num_banks
+        self.wear.record_write_fast(request.bank, factor, local, fraction)
         quota = self.quota
         if quota is not None:
             damage = self._damage_by_factor.get(factor)
@@ -1099,6 +1126,8 @@ class MemoryController:
                 self._damage_by_factor[factor] = damage
             # Inlined WearQuota.record_wear: one accumulator add.
             quota.cumulative_wear[request.bank] += damage * fraction
+        if self.faults is not None:
+            self._record_damage(request, local, factor, fraction)
 
     def _cancel_for_read_fast(self, bank_index: int, op: InFlight,
                               now: float) -> None:

@@ -43,17 +43,6 @@ class DeadlockError(RuntimeError):
     """The event queue drained while the core still had work to do."""
 
 
-#: A cold warmup is kept for reuse (``System.start_run``'s
-#: ``on_warm_state``) only when it replayed at least this many trace
-#: records per LLC line.  Restoring the state rebuilds every line, which
-#: costs about what replaying one record does, and capturing it costs
-#: about one more restore; so a group of n runs sharing a warm key gains
-#: only when warmup replays more than n/(n-1) records per line, at most
-#: 2.  Miss-heavy workloads fill the LLC in 1-1.25 records per line and
-#: warm cold; hmmer replays 9.
-WARM_REUSE_MIN_RECORDS_PER_LINE = 2
-
-
 def _resolve_workload(name: str) -> Union[WorkloadProfile, "WorkloadMix"]:
     """A workload is either a Table IV profile or a multiprogrammed mix."""
     try:
@@ -456,22 +445,19 @@ class System:
         ``warm_state`` - bytes an earlier run with the same
         :meth:`SimConfig.warm_key` handed to ``on_warm_state`` - replaces
         the functional warmup with a restore of the state it left.
-        ``on_warm_state`` receives that encoded state after a cold
-        warmup long enough to be worth restoring (see
-        :data:`WARM_REUSE_MIN_RECORDS_PER_LINE`).  It is not called
-        after a shorter warmup, nor when the workload's trace cannot be
-        captured (a multiprogrammed mix); later runs then warm cold.
+        ``on_warm_state`` receives that encoded state after every cold
+        warmup: each LLC line costs less to capture and restore than
+        the one or more trace records warmup replayed to fill it.  It is
+        not called when the workload's trace cannot be captured (a
+        multiprogrammed mix); later runs then warm cold.
         """
         # Local imports: repro.checkpoint imports this module.
         if warm_state is not None:
             from repro.checkpoint import restore_warm_state
             restore_warm_state(self, warm_state)
         else:
-            consumed = self._functional_warmup()
-            cache = self.llc.cache
-            if on_warm_state is not None and consumed >= (
-                    WARM_REUSE_MIN_RECORDS_PER_LINE
-                    * cache.num_sets * cache.assoc):
+            self._functional_warmup()
+            if on_warm_state is not None:
                 from repro.checkpoint import (CheckpointUnsupportedError,
                                               capture_warm_state)
                 try:

@@ -28,15 +28,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.export import run_result_to_dict
-from repro.checkpoint import (CheckpointCorruptionError, CheckpointError,
-                              CheckpointUnsupportedError, capture_state,
+import repro.checkpoint
+from repro.checkpoint import (STATE_SCHEMA_VERSION, CheckpointCorruptionError,
+                              CheckpointError, CheckpointUnsupportedError,
+                              capture_state, capture_warm_state,
                               config_from_dict, config_to_dict,
-                              load_snapshot, restore_system, save_snapshot,
+                              load_snapshot, restore_system,
+                              restore_warm_state, save_snapshot,
                               snapshot_bytes)
+from repro.checkpoint.codec import _capture_llc, _restore_llc
+from repro.checkpoint.snapshot import _encode_snapshot
+from repro.experiments.runner import Runner
 from repro.faults import FaultConfig
 from repro.hotpath import FASTPATH_ENV
 from repro.sim.config import CACHE_KEY_EXCLUDED, SimConfig
 from repro.sim.system import System
+from repro.store import MemoryStore
 
 POLICIES = ["Norm", "BE-Mellow+SC", "Slow+SC"]
 WORKLOADS = ["hmmer", "lbm"]
@@ -316,6 +323,113 @@ def test_corrupt_digest_mismatch(tmp_path: Path) -> None:
     path.write_text(json.dumps(envelope))
     with pytest.raises(CheckpointCorruptionError, match="digest mismatch"):
         load_snapshot(path)
+
+
+# ---------------------------------------------------------------------------
+# State schema 2: the columnar LLC section.
+# ---------------------------------------------------------------------------
+
+
+def _line_rows(system: System) -> list:
+    return [[(line.tag, line.dirty, line.eager_cleaned, line.last_touch)
+             for line in lines] for lines in system.llc.cache.sets]
+
+
+@pytest.mark.parametrize("fastpath", [True, False])
+def test_llc_columns_round_trip(monkeypatch: pytest.MonkeyPatch,
+                                fastpath: bool) -> None:
+    """Per-set lengths plus flat set-major, MRU-first columns rebuild
+    every line - dirty, eager-cleaned, partially filled and empty sets
+    alike - and, on the fast path, the tag mirrors the hit scan reads."""
+    if fastpath:
+        monkeypatch.delenv(FASTPATH_ENV, raising=False)
+    else:
+        monkeypatch.setenv(FASTPATH_ENV, "1")
+    config = SimConfig(workload="mcf", policy="Norm", seed=3,
+                       llc_size_bytes=256 * 1024, functional_warmup_max=2000)
+    source = System(config)
+    source._functional_warmup()
+    lru = source.llc.cache
+    cleaned = [lru.block_of(index, lines[-1].tag)
+               for index, lines in enumerate(lru.sets) if lines][::3]
+    assert any([lru.mark_clean(block, eager=True) for block in cleaned])
+    rows = _line_rows(source)
+    lengths = [len(set_rows) for set_rows in rows]
+    assert 0 in lengths and any(0 < n < lru.assoc for n in lengths)
+    flat = [row for set_rows in rows for row in set_rows]
+    assert any(row[1] for row in flat) and any(row[2] for row in flat)
+
+    state = json.loads(json.dumps(_capture_llc(source)))
+    assert state["lengths"] == lengths
+    assert state["tags"] == [row[0] for row in flat]
+    assert state["dirty"] == [row[1] for row in flat]
+    assert state["eager_cleaned"] == [row[2] for row in flat]
+    assert state["last_touch"] == [row[3] for row in flat]
+
+    restored = System(config)
+    _restore_llc(restored, state)
+    assert _line_rows(restored) == rows
+    if fastpath:
+        cache = restored.llc.cache
+        for index, lines in enumerate(cache.sets):
+            tags = [line.tag for line in lines]
+            assert cache._tag_sets[index] == tags
+            assert cache._tag_members[index] == set(tags)
+    assert _capture_llc(restored) == _capture_llc(source)
+
+
+def test_llc_set_count_mismatch_rejected() -> None:
+    config = SimConfig(workload="lbm", policy="Norm", seed=3,
+                       llc_size_bytes=64 * 1024, functional_warmup_max=300)
+    source = System(config)
+    source._functional_warmup()
+    encoded = capture_warm_state(source)
+    other = System(dataclasses.replace(config, llc_size_bytes=128 * 1024))
+    with pytest.raises(CheckpointError, match="LLC geometry"):
+        restore_warm_state(other, encoded)
+
+
+def _downgrade_to_schema_1(path: Path) -> None:
+    """Rewrite a snapshot as a well-formed body carrying state schema 1."""
+    config, state = load_snapshot(path)
+    state["state_schema"] = 1
+    path.write_bytes(_encode_snapshot(config, state))
+
+
+def test_state_schema_1_refused(tmp_path: Path) -> None:
+    path = _one_snapshot(tmp_path)
+    _downgrade_to_schema_1(path)
+    with pytest.raises(CheckpointError) as excinfo:
+        restore_system(path)
+    assert STATE_SCHEMA_VERSION == 2
+    assert "schema 1" in str(excinfo.value)
+    assert "schema 2" in str(excinfo.value)
+
+
+def test_sweep_sliced_resimulates_schema_1_snapshot(
+        monkeypatch: pytest.MonkeyPatch, tmp_path: Path,
+        caplog: pytest.LogCaptureFixture) -> None:
+    """A snapshot from the old layout is not fatal to a sliced sweep: the
+    slice warns and re-simulates, bit-identical to a straight run."""
+    save = repro.checkpoint.save_snapshot
+
+    def save_as_schema_1(system: System, path: str) -> Path:
+        target = save(system, path)
+        _downgrade_to_schema_1(target)
+        return target
+
+    monkeypatch.setattr(repro.checkpoint, "save_snapshot", save_as_schema_1)
+    config = SimConfig(workload="hmmer", policy="Norm", seed=3,
+                       checkpoint_every=900).scaled(0.02)
+    with caplog.at_level("WARNING", logger="repro.experiments.runner"):
+        [result] = Runner(store=MemoryStore()).sweep_sliced(
+            [config], jobs=1, apply_env_scale=False,
+            checkpoint_dir=tmp_path / "slices")
+    assert any("re-simulating" in record.message
+               and "state schema 1" in record.message
+               for record in caplog.records)
+    assert (json.dumps(run_result_to_dict(result), sort_keys=True)
+            == _straight_json(config))
 
 
 def test_missing_snapshot_is_not_corruption(tmp_path: Path) -> None:

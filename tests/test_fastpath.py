@@ -18,17 +18,20 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
+from typing import Dict, Tuple
 
 import pytest
 
 from repro.analysis.export import run_result_to_dict
+from repro.checkpoint import load_snapshot, restore_system, save_snapshot
 from repro.faults import FaultConfig
 from repro.hotpath import FASTPATH_ENV, fastpath_enabled
 from repro.lint.sanitize import InvariantViolation
 from repro.sim.config import SimConfig
 from repro.sim.events import EventQueue
-from repro.sim.system import run_simulation
+from repro.sim.system import System, run_simulation
 
 POLICIES = ["Norm", "BE-Mellow+SC", "Slow+SC"]
 WORKLOADS = ["hmmer", "lbm"]
@@ -262,22 +265,103 @@ def test_ab_bit_identity_sanitizer_armed(
             == _run_json(monkeypatch, config, fastpath=False))
 
 
+# Aggressive enough that every run burns spares and ends uncorrectable,
+# so the matrix below reaches every rung of the write-verify ladder.
+MATRIX_FAULTS = FaultConfig(
+    wear_acceleration=5e6,
+    spare_lines_per_bank=2,
+    max_write_retries=1,
+    stuck_mismatch_probability=0.5,
+)
+FAULT_WORKLOADS = ["gups", "lbm", "stream"]
+FAULT_POLICIES = ["Norm", "BE-Mellow+SC"]
+_FAULT_RUNS: Dict[Tuple[str, str, int], Tuple[str, str]] = {}
+
+
+def _fault_run(monkeypatch: pytest.MonkeyPatch, workload: str, policy: str,
+               seed: int) -> Tuple[str, str]:
+    """(fast, reference) serialized results of one faults-matrix config,
+    memoised so the coverage test below reuses the A/B runs."""
+    key = (workload, policy, seed)
+    if key not in _FAULT_RUNS:
+        config = SimConfig(workload=workload, policy=policy, seed=seed,
+                           faults=MATRIX_FAULTS).scaled(0.02)
+        _FAULT_RUNS[key] = (_run_json(monkeypatch, config, fastpath=True),
+                            _run_json(monkeypatch, config, fastpath=False))
+    return _FAULT_RUNS[key]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("policy", ["Norm", "BE-Mellow+SC"])
-@pytest.mark.parametrize("workload", ["gups", "lbm", "stream"])
+@pytest.mark.parametrize("policy", FAULT_POLICIES)
+@pytest.mark.parametrize("workload", FAULT_WORKLOADS)
 def test_ab_bit_identity_miss_heavy_with_faults(
         monkeypatch: pytest.MonkeyPatch, workload: str, policy: str,
         seed: int) -> None:
-    """Miss-heavy workloads with fault injection enabled: faults force
-    the controller onto the reference spine while the warmup, trace and
-    core seams stay hot, so this pins the boundary between the two."""
-    faults = FaultConfig(
-        wear_acceleration=5e6,
-        spare_lines_per_bank=2,
-        max_write_retries=1,
-        stuck_mismatch_probability=0.5,
-    )
-    config = SimConfig(workload=workload, policy=policy, seed=seed,
-                       faults=faults).scaled(0.02)
-    assert (_run_json(monkeypatch, config, fastpath=True)
-            == _run_json(monkeypatch, config, fastpath=False))
+    """Miss-heavy workloads with fault injection enabled: the fast
+    spine's fault hooks (cell ageing on every wear deposit, write-verify
+    at completion, slow re-issue of verify retries) must match the
+    reference spine's bit for bit."""
+    fast, reference = _fault_run(monkeypatch, workload, policy, seed)
+    assert fast == reference
+
+
+def test_fault_matrix_reaches_every_verify_outcome(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    """The A/B matrix above only proves the fault hooks identical if it
+    drives them: retries, ECC corrections, retirements and at least one
+    uncorrectable (fatal) run must all occur."""
+    results = [json.loads(_fault_run(monkeypatch, workload, policy, seed)[0])
+               for workload in FAULT_WORKLOADS
+               for policy in FAULT_POLICIES for seed in SEEDS]
+    assert sum(r["fault_write_retries"] for r in results) > 0
+    assert sum(r["ecc_corrected_writes"] for r in results) > 0
+    assert sum(r["lines_retired"] for r in results) > 0
+    assert any(r["uncorrectable"] for r in results)
+
+
+def test_telemetry_bundle_byte_identity_with_faults(
+        monkeypatch: pytest.MonkeyPatch, tmp_path: Path) -> None:
+    """Faults and telemetry together: the bundle - fault trace events,
+    fault probes, the retired-line heatmap - must come out byte-identical
+    on both spines."""
+    bundles = {}
+    for mode, fastpath in (("fast", True), ("ref", False)):
+        out = tmp_path / mode
+        config = SimConfig(workload="lbm", policy="BE-Mellow+SC+WQ", seed=3,
+                           faults=MATRIX_FAULTS, telemetry=True,
+                           telemetry_dir=str(out)).scaled(0.02)
+        _set_mode(monkeypatch, fastpath)
+        result = run_simulation(config)
+        assert result.fault_write_retries > 0 and result.lines_retired > 0
+        bundles[mode] = {
+            path.name: path.read_bytes() for path in sorted(out.iterdir())
+        }
+    assert bundles["fast"].keys() == bundles["ref"].keys()
+    for name, payload in bundles["fast"].items():
+        assert payload == bundles["ref"][name], f"{name} diverged"
+
+
+def test_sliced_fault_run_on_fast_spine_matches_reference(
+        monkeypatch: pytest.MonkeyPatch, tmp_path: Path) -> None:
+    """A fault run checkpointed on the fast spine - each pause saved to a
+    snapshot and resumed in a fresh System - ends bit-identical to a
+    straight run on the reference spine."""
+    config = SimConfig(workload="lbm", policy="BE-Mellow+SC", seed=7,
+                       faults=MATRIX_FAULTS).scaled(0.02)
+    _set_mode(monkeypatch, fastpath=True)
+    system = System(replace(config, checkpoint_every=40))
+    system.start_run()
+    pauses = 0
+    while True:
+        result = system.continue_run()
+        if result is not None:
+            break
+        pauses += 1
+        path = save_snapshot(system, tmp_path / f"slice-{pauses}.ckpt")
+        state = load_snapshot(path)[1]
+        assert state["fastpath"] is True and state["faults"] is not None
+        system = restore_system(path)
+    assert pauses >= 2
+    assert result.fault_write_retries > 0
+    sliced = json.dumps(run_result_to_dict(result), sort_keys=True)
+    assert sliced == _run_json(monkeypatch, config, fastpath=False)
