@@ -1,27 +1,21 @@
-"""Parallel sweep driver over a pluggable, concurrency-safe result store.
+"""Parallel sweeps over a concurrency-safe result store.
 
 Figures 10-16 all read the same 11x9 (workload x policy) sweep; the cache
 lets each bench regenerate its figure without re-simulating runs another
 bench already produced.  Results are stored as versioned JSON entries
 (:mod:`repro.store.codec`) keyed by a digest of the full
-:class:`SimConfig`, so any parameter change invalidates cleanly.
-
-Where those bytes live is the :mod:`repro.store` layer's business: the
-runner talks to one :class:`~repro.store.Store` (directory of files,
-single SQLite database, in-memory dict, or a tiered composition) selected
-by ``REPRO_CACHE_URL``.  Backend choice never enters a cache key, so the
-same config yields bit-identical entries in every backend and ``repro
-cache sync`` can replicate a warm cache anywhere.
+:class:`SimConfig`, so any parameter change invalidates cleanly.  The
+runner reads and writes them through one :class:`~repro.store.FileStore`
+(``<digest>.json`` plus ``<digest>.telemetry/`` bundles).
 
 :meth:`Runner.sweep` fans cache misses out over a
 ``concurrent.futures.ProcessPoolExecutor``.  Each run is seeded entirely by
 its config, so parallel results are bit-identical to serial ones; workers
 return plain dicts and the parent process owns all store traffic.  Entry
-commits are atomic per backend (write-to-temp + ``os.replace``, or one
-SQLite transaction) so concurrent sweeps sharing one store can never
-expose a half-written entry, and any unreadable entry - truncated JSON,
-schema drift, a stale pre-versioning file - logs a warning and falls back
-to re-simulation instead of crashing.
+commits are atomic (write-to-temp + ``os.replace``) so concurrent sweeps
+sharing one directory can never expose a half-written entry, and any
+unreadable entry - truncated JSON, schema drift, a stale pre-versioning
+file - logs a warning and falls back to re-simulation instead of crashing.
 
 Environment knobs:
 
@@ -29,16 +23,14 @@ Environment knobs:
   benches use ~0.25 for quick runs).
 * ``REPRO_JOBS``        - worker processes for sweeps (default: all cores).
 * ``REPRO_WORKLOADS``   - comma-separated subset of workloads to sweep.
-* ``REPRO_CACHE_URL``   - store backend (``file:<dir>``, ``sqlite:<db>``,
-  ``memory:``, ``tiered:<local>|<remote>``; see ``docs/storage.md``).
-* ``REPRO_CACHE_DIR``   - cache directory (default ``.repro_cache``);
-  a file-backend shorthand that ``REPRO_CACHE_URL`` overrides.
-* ``REPRO_NO_CACHE=1``  - nothing persists (an in-memory store is
-  injected in place of the configured backend).
+* ``REPRO_CACHE_DIR``   - cache directory (default ``.repro_cache``).
+* ``REPRO_NO_CACHE=1``  - nothing persists: each runner gets a private
+  temporary directory, removed when the interpreter exits.
 """
 
 from __future__ import annotations
 
+import atexit
 import concurrent.futures
 import logging
 import os
@@ -57,19 +49,17 @@ from repro.sim.system import run_simulation
 from repro.store import (
     CACHE_SCHEMA_VERSION,
     CacheEntryError,
-    Store,
+    FileStore,
     atomic_write_text,
     cache_clear,
     cache_stats,
     cache_verify,
     entry_from_json,
     entry_to_json,
-    export_bundle_dir,
-    read_bundle_dir,
-    resolve_store,
     result_from_dict,
     result_to_dict,
 )
+from repro.store.file import default_cache_dir
 from repro.telemetry import bundle_is_complete
 from repro.workloads.profiles import WORKLOAD_NAMES
 
@@ -87,7 +77,6 @@ __all__ = [
     "default_runner",
     "entry_from_json",
     "entry_to_json",
-    "resolve_cache_dir",
     "result_from_dict",
     "result_to_dict",
     "scale_factor",
@@ -155,8 +144,7 @@ def _simulate_to_dict(config: SimConfig) -> dict:
     to the store; the parent process owns all store traffic.  Telemetry is
     the one exception: when the config carries a ``telemetry_dir`` the
     worker writes the bundle itself at end of run (atomically, manifest
-    last) - for filesystem-native backends that directory *is* the stored
-    bundle, for every other backend the parent ingests it afterwards.
+    last) straight into the store's bundle directory.
     """
     return result_to_dict(run_simulation(config))
 
@@ -179,7 +167,7 @@ def _advance_slice(config: SimConfig, snapshot_path: Optional[str],
     mismatched environment - is not fatal: the worker warns and
     re-simulates the whole run from scratch, which is bit-identical to
     the interrupted one (the checkpoint equivalence contract), exactly
-    like the store layer's unreadable-entry fallback.
+    like the runner's unreadable-entry fallback.
     """
     from repro.checkpoint import CheckpointError, restore_system, save_snapshot
     from repro.sim.system import System
@@ -241,17 +229,34 @@ class _Sweep:
         return [self.results[i] for i in range(len(self.configs))]
 
 
+def _private_cache_dir() -> Path:
+    """A ``REPRO_NO_CACHE`` store directory, removed at interpreter exit.
+
+    Not tied to the runner's lifetime: ``repro trace`` and ``repro
+    metrics`` read the telemetry bundle of a runner they do not keep.
+    """
+    path = tempfile.mkdtemp(prefix="repro-nocache-")
+    atexit.register(shutil.rmtree, path, True)
+    return Path(path)
+
+
 class Runner:
-    """Runs configs through the simulator with memo + store caching."""
+    """Runs configs through the simulator with memo + store caching.
+
+    The store is ``store`` when given, else a private temporary
+    directory under ``REPRO_NO_CACHE=1``, else ``cache_dir``, else
+    ``REPRO_CACHE_DIR``, else ``.repro_cache``.
+    """
 
     def __init__(self, cache_dir: Optional[Path] = None,
-                 store: Optional[Store] = None) -> None:
+                 store: Optional[FileStore] = None) -> None:
         if store is None:
-            store = resolve_store(cache_dir=cache_dir)
+            if os.environ.get("REPRO_NO_CACHE", "0") == "1":
+                store = FileStore(_private_cache_dir())
+            else:
+                store = FileStore(cache_dir if cache_dir is not None
+                                  else default_cache_dir())
         self.store = store
-        # Kept for file-backend introspection (tests, legacy tooling);
-        # None whenever entries do not live in a directory.
-        self.cache_dir: Optional[Path] = getattr(store, "root", None)
         self._memo: Dict[tuple, RunResult] = {}
         self.simulated = 0
         self.cache_hits = 0
@@ -260,55 +265,20 @@ class Runner:
         self.warm_reused = 0
 
     def _path_for(self, config: SimConfig) -> Path:
-        path = self.store.entry_path(config.cache_digest())
-        if path is None:
-            raise RuntimeError(
-                f"{self.store.kind} store keeps entries internally; "
-                "there is no per-entry file path")
-        return path
-
-    def _telemetry_path(self, config: SimConfig) -> Path:
-        """Default telemetry bundle location for this store.
-
-        Filesystem-native backends expose the bundle's real home
-        (zero-copy: the simulator writes the bundle in place); all others
-        get a per-store staging directory whose bundles are ingested via
-        :meth:`Store.put_bundle` after the run.
-        """
-        digest = config.cache_digest()
-        native = self.store.bundle_path(digest)
-        if native is not None:
-            return native
-        return self.store.staging_root() / f"{digest}.telemetry"
+        return self.store.entry_path(config.cache_digest())
 
     def _with_telemetry_dir(self, config: SimConfig) -> SimConfig:
         """Give a telemetry-enabled config a concrete output directory.
 
-        Filling the default in here (rather than inside the simulator)
-        keeps telemetry bundles keyed by the cache digest of the same
-        run.  ``telemetry_dir`` is not part of cache_key(), so this
-        substitution never changes cache identity.
+        The default is the store's bundle directory for the run's cache
+        digest, which the simulator writes in place.  ``telemetry_dir``
+        is not part of cache_key(), so this substitution never changes
+        cache identity.
         """
         if config.telemetry and config.telemetry_dir is None:
-            return replace(
-                config, telemetry_dir=str(self._telemetry_path(config)))
+            bundle = self.store.bundle_path(config.cache_digest())
+            return replace(config, telemetry_dir=str(bundle))
         return config
-
-    def _telemetry_satisfied(self, config: SimConfig) -> bool:
-        """Whether a cached result alone satisfies this config.
-
-        A telemetry-enabled config also needs a complete bundle; if it is
-        missing, the run re-simulates (producing a bit-identical result,
-        since telemetry never perturbs the simulation) purely to
-        regenerate the bundle.  Runner-managed destinations defer to the
-        store (which may hold the bundle internally); a user-chosen
-        ``telemetry_dir`` must be complete on disk where the user asked.
-        """
-        if not config.telemetry or config.telemetry_dir is None:
-            return True
-        if config.telemetry_dir == str(self._telemetry_path(config)):
-            return self.store.has_bundle(config.cache_digest())
-        return bundle_is_complete(Path(config.telemetry_dir))
 
     def _load_store(self, config: SimConfig) -> Optional[RunResult]:
         """Fetch from the store; any unreadable entry warns and reads as
@@ -318,7 +288,7 @@ class Runner:
             data = self.store.get(digest)
         except OSError as error:
             logger.warning("cache read failed for %s (%s); re-simulating",
-                           self.store.location(digest), error)
+                           self.store.entry_path(digest), error)
             return None
         if data is None:
             return None
@@ -326,44 +296,26 @@ class Runner:
             return entry_from_json(data.decode("utf-8"))
         except (CacheEntryError, UnicodeDecodeError) as error:
             logger.warning("discarding cache entry %s (%s); re-simulating",
-                           self.store.location(digest), error)
+                           self.store.entry_path(digest), error)
             self.store.delete(digest)
             return None
-
-    def _ingest_bundle(self, config: SimConfig) -> None:
-        """Commit a freshly simulated staging bundle into the store.
-
-        No-op for filesystem-native backends (the simulator already wrote
-        the bundle into the store's own layout) and for user-chosen
-        destinations (the bundle stays where the user asked).
-        """
-        if not config.telemetry or config.telemetry_dir is None:
-            return
-        digest = config.cache_digest()
-        if self.store.bundle_path(digest) is not None:
-            return
-        if config.telemetry_dir != str(self._telemetry_path(config)):
-            return
-        files = read_bundle_dir(Path(config.telemetry_dir))
-        if files is not None:
-            self.store.put_bundle(digest, files)
 
     def _store_result(self, config: SimConfig, result: RunResult) -> None:
         self._memo[config.cache_key()] = result
         self.store.put(config.cache_digest(),
                        entry_to_json(config, result).encode("utf-8"))
-        self._ingest_bundle(config)
 
     def peek(self, config: SimConfig) -> Optional[RunResult]:
         """A cached result if one exists - never simulates.
 
-        The ``repro serve`` submission path uses this to answer a job
-        whose digest is already in the cache without occupying a
-        worker; a hit counts toward ``cache_hits`` exactly like a hit
-        inside :meth:`run`.
+        A hit counts toward ``cache_hits``.  A telemetry-enabled config
+        also needs a complete bundle; without one it reads as a miss, so
+        the run re-simulates (bit-identically, since telemetry never
+        perturbs the simulation) purely to regenerate the bundle.
         """
         key = config.cache_key()
-        if not self._telemetry_satisfied(config):
+        if (config.telemetry and config.telemetry_dir is not None
+                and not bundle_is_complete(Path(config.telemetry_dir))):
             return None
         if key in self._memo:
             self.cache_hits += 1
@@ -390,20 +342,12 @@ class Runner:
         The result is bit-identical to an untraced run of the same config
         and shares its cache entry; the second element is the directory
         holding the telemetry bundle (metrics/heatmap/traces/manifest).
-        Backends that keep bundles internally (sqlite, memory) export the
-        stored bundle into the returned directory on cache hits, so the
-        caller always finds real files there.
         """
         config = self._with_telemetry_dir(
             replace(config, telemetry=True))
         result = self.run(config)
         assert config.telemetry_dir is not None
-        bundle_dir = Path(config.telemetry_dir)
-        if not bundle_is_complete(bundle_dir):
-            files = self.store.get_bundle(config.cache_digest())
-            if files is not None:
-                export_bundle_dir(files, bundle_dir)
-        return result, bundle_dir
+        return result, Path(config.telemetry_dir)
 
     def scaled(self, config: SimConfig) -> RunResult:
         """Run with window lengths scaled by REPRO_SCALE."""
@@ -430,10 +374,8 @@ class Runner:
         the LLC once per :meth:`SimConfig.warm_key` (see
         :meth:`_run_serially`).
 
-        ``apply_env_scale=False`` skips the ``REPRO_SCALE`` rescaling:
-        callers that computed digests from the configs *as given* (the
-        ``repro serve`` job API) need execution and identity to agree
-        even when the environment carries a scale override.
+        ``apply_env_scale=False`` skips the ``REPRO_SCALE`` rescaling,
+        so the configs run exactly as given.
         """
         sweep = self._plan_sweep(configs, progress, apply_env_scale)
         jobs = default_jobs() if jobs is None else max(1, jobs)
@@ -627,20 +569,6 @@ class Runner:
                     slice_number: int) -> str:
         return (f"{config.cache_digest()}-{run_number:04d}"
                 f"-slice-{slice_number:04d}.ckpt")
-
-
-# ---------------------------------------------------------------------------
-# Cache maintenance (backs the ``repro cache`` CLI subcommand)
-#
-# The implementations live in repro.store.maintenance and speak to any
-# backend; cache_stats / cache_verify / cache_clear are re-exported above.
-# ---------------------------------------------------------------------------
-
-def resolve_cache_dir(cache_dir: Optional[Path] = None) -> Path:
-    """Historic file-backend cache location (pre-URL callers)."""
-    if cache_dir is not None:
-        return Path(cache_dir)
-    return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
 
 
 _default_runner: Optional[Runner] = None

@@ -68,8 +68,7 @@ KEY_REGISTRIES = {
 #: sinks).  ``key`` is only a sink as a *method* of a class (FaultConfig
 #: style), never as a free function; taint.py enforces that split.
 SINK_FUNCTION_NAMES = frozenset({
-    "cache_key", "cache_digest", "digest_for_key", "_job_digest",
-    "entry_to_json",
+    "cache_key", "cache_digest", "digest_for_key", "entry_to_json",
 })
 SINK_METHOD_NAMES = frozenset({"key"})
 

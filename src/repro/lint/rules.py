@@ -209,7 +209,7 @@ RULES: Dict[str, RuleInfo] = {
 #: Version of the analysis semantics.  Part of the incremental cache
 #: key: bump it whenever any rule's logic (not just its metadata)
 #: changes, so stale per-file results can never leak into a report.
-RULESET_VERSION = "2.1.0"
+RULESET_VERSION = "2.2.0"
 
 # --------------------------------------------------------------------------
 # SIM002 / SIM003 call tables

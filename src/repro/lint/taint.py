@@ -19,8 +19,9 @@ values, and emits the three flow rules:
 * **SIM013** - attribute mutations on classes marked
   ``# simlint: thread-shared`` must happen inside a ``with <lock>:``
   scope.  Ownership is resolved through ``self`` and through parameter
-  annotations, which is what lets the rule see across the
-  asyncio/ThreadPoolExecutor boundary in ``repro.serve``.
+  annotations, which is what lets the rule see a mutation made by a
+  function that receives the shared object as an argument (a worker
+  thread's callback, say), not only by the class's own methods.
 
 The analysis is context-insensitive with one level of argument flow:
 a function returning its own parameter propagates the taint of the

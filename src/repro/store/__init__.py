@@ -1,26 +1,12 @@
-"""Pluggable content-addressed storage for results and telemetry.
+"""Content-addressed storage for results and telemetry.
 
-Every cached simulation result and telemetry bundle lives in a
-:class:`Store` keyed by the config digest, with four interchangeable
-backends (``file``, ``sqlite``, ``memory``, ``tiered``) selected by the
-``REPRO_CACHE_URL`` grammar.  Backend choice never touches a cache key:
-the same config digests identically everywhere, which is what makes
-``repro cache sync`` a pure, idempotent byte-copy between any two
-backends.  See ``docs/storage.md`` for the full contract.
+Every cached simulation result and telemetry bundle lives in one
+:class:`FileStore` directory, keyed by the config digest:
+``<digest>.json`` holds the codec entry (:mod:`repro.store.codec`) and
+``<digest>.telemetry/`` the bundle.  ``REPRO_NO_CACHE=1`` gives the
+runner a private temporary directory instead.  See ``docs/storage.md``.
 """
 
-from repro.store.base import (
-    KIND_BUNDLE,
-    KIND_ENTRY,
-    EvictionPolicy,
-    Store,
-    StoreCounters,
-    StoreEntry,
-    StoreStats,
-    SyncReport,
-    export_bundle_dir,
-    read_bundle_dir,
-)
 from repro.store.codec import (
     CACHE_SCHEMA_VERSION,
     CacheEntryError,
@@ -32,34 +18,12 @@ from repro.store.codec import (
     result_to_dict,
 )
 from repro.store.file import FileStore
-from repro.store.maintenance import (
-    cache_clear,
-    cache_stats,
-    cache_verify,
-    open_store,
-    sync_stores,
-)
-from repro.store.memory import MemoryStore
-from repro.store.sqlite import SQLiteStore
-from repro.store.tiered import TieredStore
-from repro.store.url import StoreURLError, resolve_store, store_from_url
+from repro.store.maintenance import cache_clear, cache_stats, cache_verify
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CacheEntryError",
-    "EvictionPolicy",
     "FileStore",
-    "KIND_BUNDLE",
-    "KIND_ENTRY",
-    "MemoryStore",
-    "SQLiteStore",
-    "Store",
-    "StoreCounters",
-    "StoreEntry",
-    "StoreStats",
-    "StoreURLError",
-    "SyncReport",
-    "TieredStore",
     "atomic_write_bytes",
     "atomic_write_text",
     "cache_clear",
@@ -67,12 +31,6 @@ __all__ = [
     "cache_verify",
     "entry_from_json",
     "entry_to_json",
-    "export_bundle_dir",
-    "open_store",
-    "read_bundle_dir",
-    "resolve_store",
     "result_from_dict",
     "result_to_dict",
-    "store_from_url",
-    "sync_stores",
 ]

@@ -1,12 +1,10 @@
-"""The schema-versioned cache-entry codec, shared by every backend.
+"""The schema-versioned cache-entry codec.
 
 A cache entry is one JSON document: the schema version, the full
 :meth:`SimConfig.cache_key` it was computed from, and the serialised
-:class:`RunResult`.  The codec lives here - not in the runner - because
-it is the *contract* of the storage layer: any :class:`repro.store.Store`
-backend holds exactly these bytes under the entry's digest, so entries
-replicated between backends (``repro cache sync``) stay byte-identical
-and verifiable anywhere.
+:class:`RunResult`.  :class:`repro.store.FileStore` holds exactly these
+bytes under the entry's digest, so ``repro cache verify`` can re-derive
+the digest from the key inside.
 
 The strict key-set check in :func:`result_from_dict` means a payload
 written by a different ``RunResult`` layout reads as a cache miss rather
@@ -115,7 +113,7 @@ def entry_from_json(text: str) -> RunResult:
         )
     try:
         return result_from_dict(data["result"])
-    except (KeyError, TypeError, ValueError) as error:
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
         raise CacheEntryError(f"undecodable result: {error!r}") from error
 
 

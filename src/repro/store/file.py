@@ -1,7 +1,7 @@
-"""The directory-of-files backend: the original ``.repro_cache`` layout.
+"""The result store: one directory of content-addressed files.
 
-Layout (unchanged since PR 1/PR 3, so every pre-existing cache directory
-reads back without migration)::
+Layout (the historic ``.repro_cache`` layout, so every existing cache
+directory reads back without migration)::
 
     <root>/<digest>.json        one cache entry (codec JSON, utf-8)
     <root>/<digest>.telemetry/  one telemetry bundle (manifest last)
@@ -9,142 +9,77 @@ reads back without migration)::
 
 Writes are write-to-temp + ``os.replace`` in the target directory, so
 concurrent writers of the same digest last-write-win with either
-complete payload and readers never see a torn entry - exactly the
-guarantee the pre-store runner provided.
+complete payload and readers never see a torn entry.  The simulator
+writes telemetry bundles straight into :meth:`FileStore.bundle_path`,
+manifest last, so a bundle whose manifest is present is complete.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
+import threading
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.store.base import (KIND_BUNDLE, KIND_ENTRY, Clock, EvictionPolicy,
-                              Store, StoreEntry, export_bundle_dir,
-                              read_bundle_dir)
 from repro.store.codec import atomic_write_bytes
-from repro.telemetry import bundle_is_complete
 
 ENTRY_SUFFIX = ".json"
 BUNDLE_SUFFIX = ".telemetry"
 
 
-class FileStore(Store):
+def default_cache_dir() -> Path:
+    """``REPRO_CACHE_DIR``, else ``.repro_cache``."""
+    return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
+
+
+class FileStore:
     """Content-addressed store over one flat directory."""
 
-    kind = "file"
-
-    def __init__(self, root: Path | str,
-                 policy: Optional[EvictionPolicy] = None,
-                 clock: Optional[Clock] = None) -> None:
-        super().__init__(policy=policy, clock=clock)
+    def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
+        self._lock = threading.RLock()
 
-    @property
-    def description(self) -> str:
-        return f"file:{self.root}"
-
-    def location(self, digest: str) -> str:
-        return str(self._entry_file(digest))
-
-    # -- layout ---------------------------------------------------------
-
-    def _entry_file(self, digest: str) -> Path:
+    def entry_path(self, digest: str) -> Path:
         return self.root / f"{digest}{ENTRY_SUFFIX}"
 
-    def _bundle_dir(self, digest: str) -> Path:
+    def bundle_path(self, digest: str) -> Path:
         return self.root / f"{digest}{BUNDLE_SUFFIX}"
 
-    def entry_path(self, digest: str) -> Optional[Path]:
-        return self._entry_file(digest)
-
-    def bundle_path(self, digest: str) -> Optional[Path]:
-        return self._bundle_dir(digest)
-
-    # -- entries --------------------------------------------------------
-
-    def _get(self, digest: str) -> Optional[bytes]:
+    def get(self, digest: str) -> Optional[bytes]:
         try:
-            return self._entry_file(digest).read_bytes()
+            return self.entry_path(digest).read_bytes()
         except FileNotFoundError:
             return None
 
-    def _put(self, digest: str, data: bytes) -> None:
-        atomic_write_bytes(self._entry_file(digest), data)
+    def put(self, digest: str, data: bytes) -> None:
+        with self._lock:
+            atomic_write_bytes(self.entry_path(digest), data)
 
-    def _exists(self, digest: str) -> bool:
-        return self._entry_file(digest).is_file()
-
-    def _delete(self, digest: str) -> bool:
-        try:
-            self._entry_file(digest).unlink()
-        except FileNotFoundError:
-            return False
-        except OSError:
-            return False
-        return True
-
-    def _scan(self) -> List[StoreEntry]:
-        found: List[StoreEntry] = []
-        if not self.root.is_dir():
-            return found
-        for path in self.root.glob(f"*{ENTRY_SUFFIX}"):
+    def delete(self, digest: str) -> bool:
+        with self._lock:
             try:
-                info = path.stat()
+                self.entry_path(digest).unlink()
             except OSError:
-                continue
-            found.append(StoreEntry(
-                digest=path.name[:-len(ENTRY_SUFFIX)], kind=KIND_ENTRY,
-                size=info.st_size, mtime=info.st_mtime))
-        for path in self.root.glob(f"*{BUNDLE_SUFFIX}"):
-            if not path.is_dir():
-                continue
-            size = 0
-            mtime = 0.0
-            for item in path.iterdir():
-                try:
-                    info = item.stat()
-                except OSError:
-                    continue
-                size += info.st_size
-                mtime = max(mtime, info.st_mtime)
-            found.append(StoreEntry(
-                digest=path.name[:-len(BUNDLE_SUFFIX)], kind=KIND_BUNDLE,
-                size=size, mtime=mtime))
-        return found
-
-    # -- bundles --------------------------------------------------------
-
-    def _has_bundle(self, digest: str) -> bool:
-        return bundle_is_complete(self._bundle_dir(digest))
-
-    def _put_bundle(self, digest: str, files: Dict[str, bytes]) -> None:
-        export_bundle_dir(files, self._bundle_dir(digest))
-
-    def _get_bundle(self, digest: str) -> Optional[Dict[str, bytes]]:
-        return read_bundle_dir(self._bundle_dir(digest))
-
-    def _delete_bundle(self, digest: str) -> bool:
-        bundle = self._bundle_dir(digest)
-        if not bundle.is_dir():
-            return False
-        try:
-            shutil.rmtree(bundle)
-        except OSError:
-            return False
-        return True
-
-    # -- maintenance ----------------------------------------------------
+                return False
+            return True
 
     def clear(self) -> int:
-        """Also sweep ``*.tmp`` crash debris the generic scan never sees."""
+        """Delete every entry, bundle and ``*.tmp`` file; returns the
+        number of objects removed (a bundle counts as one)."""
+        removed = 0
         with self._lock:
-            removed = super().clear()
-            if self.root.is_dir():
-                for path in self.root.glob("*.tmp"):
-                    try:
+            if not self.root.is_dir():
+                return 0
+            for path in self.root.iterdir():
+                try:
+                    if path.name.endswith(BUNDLE_SUFFIX) and path.is_dir():
+                        shutil.rmtree(path)
+                    elif path.name.endswith((ENTRY_SUFFIX, ".tmp")):
                         path.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
-            return removed
+                    else:
+                        continue
+                except OSError:
+                    continue
+                removed += 1
+        return removed

@@ -1,56 +1,40 @@
-"""Backend-agnostic cache maintenance: stats, verify, clear, sync.
+"""Cache maintenance: stats, verify, clear.
 
-These back the ``repro cache`` CLI verbs.  Before the store interface
-existed they were three near-duplicate directory-walking loops inside
-the runner; now each is one :meth:`Store.scan`-driven pass that works
-identically against any backend (and therefore against a remote cache a
-URL points at).
-
-``sync_stores`` is the fleet-wide-dedupe primitive: entries and bundles
-are copied digest-by-digest, skipping whatever the destination already
-has - content addressing makes the copy idempotent and restartable.
+These back the ``repro cache`` CLI verbs.  Each walks one cache
+directory (``cache_dir``, else ``REPRO_CACHE_DIR``, else
+``.repro_cache``).  ``REPRO_NO_CACHE`` is deliberately ignored -
+inspecting a cache must work even where caching is disabled for runs.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.sim.config import digest_for_key
-from repro.store.base import KIND_BUNDLE, Store, SyncReport
 from repro.store.codec import CACHE_SCHEMA_VERSION, CacheEntryError, entry_from_json
-from repro.store.url import resolve_store
-
-#: What the maintenance verbs accept as a cache designator: an open
-#: store, a directory path (the historic signature), a store URL, or
-#: None (environment resolution).
-CacheTarget = Union[Store, Path, str, None]
-
-_ProgressFn = Callable[[str, str], None]
+from repro.store.file import (BUNDLE_SUFFIX, ENTRY_SUFFIX, FileStore,
+                              default_cache_dir)
 
 
-def open_store(target: CacheTarget) -> Store:
-    """Resolve a maintenance target to a live store.
-
-    Strings containing a scheme separator parse as store URLs; anything
-    else path-like keeps the historic "cache directory" meaning.
-    ``REPRO_NO_CACHE`` is deliberately ignored - inspecting a cache must
-    work even where caching is disabled for runs.
-    """
-    if isinstance(target, Store):
-        return target
-    if isinstance(target, str) and ":" in target:
-        return resolve_store(url=target, respect_no_cache=False)
-    return resolve_store(cache_dir=target, respect_no_cache=False)
+def _root(cache_dir: Optional[Path | str]) -> Path:
+    return Path(cache_dir) if cache_dir is not None else default_cache_dir()
 
 
-def cache_stats(target: CacheTarget = None) -> Dict[str, Any]:
-    """Entry count / footprint / health summary of one cache store."""
-    store = open_store(target)
+def _entry_files(root: Path) -> List[Path]:
+    """Every entry file, sorted so reports are stable."""
+    if not root.is_dir():
+        return []
+    return sorted(path for path in root.glob(f"*{ENTRY_SUFFIX}")
+                  if path.is_file())
+
+
+def cache_stats(cache_dir: Optional[Path | str] = None) -> Dict[str, Any]:
+    """Entry count / footprint / health summary of one cache directory."""
+    root = _root(cache_dir)
     stats: Dict[str, Any] = {
-        "cache_dir": store.description,
-        "backend": store.kind,
+        "cache_dir": str(root),
         "entries": 0,
         "total_bytes": 0,
         "valid": 0,
@@ -58,16 +42,18 @@ def cache_stats(target: CacheTarget = None) -> Dict[str, Any]:
         "schema_versions": {},
         "telemetry_bundles": 0,
     }
-    for item in store.scan():
-        if item.kind == KIND_BUNDLE:
-            stats["telemetry_bundles"] += 1
+    if root.is_dir():
+        stats["telemetry_bundles"] = sum(
+            1 for path in root.glob(f"*{BUNDLE_SUFFIX}") if path.is_dir())
+    for path in _entry_files(root):
+        try:
+            data = path.read_bytes()
+        except OSError:
             continue
         stats["entries"] += 1
-        stats["total_bytes"] += item.size
-        data = store.get(item.digest)
+        stats["total_bytes"] += len(data)
         try:
-            payload = json.loads(data if data is not None else b"")
-            schema = payload.get("schema", "unversioned")
+            schema = json.loads(data).get("schema", "unversioned")
         except (json.JSONDecodeError, UnicodeDecodeError, AttributeError):
             schema = "corrupt"
         key = str(schema)
@@ -79,77 +65,34 @@ def cache_stats(target: CacheTarget = None) -> Dict[str, Any]:
     return stats
 
 
-def cache_verify(target: CacheTarget = None) -> Dict[str, Any]:
+def cache_verify(cache_dir: Optional[Path | str] = None) -> Dict[str, Any]:
     """Deep-check every entry: parseable, current schema, digest matches.
 
     A digest mismatch means the entry was renamed/re-keyed or the key
     inside drifted; such entries would never be read back and only waste
     space.
     """
-    store = open_store(target)
-    report: Dict[str, Any] = {"cache_dir": store.description,
-                              "ok": 0, "bad": []}
-    for item in store.scan():
-        if item.kind == KIND_BUNDLE:
-            continue
+    root = _root(cache_dir)
+    report: Dict[str, Any] = {"cache_dir": str(root), "ok": 0, "bad": []}
+    for path in _entry_files(root):
         try:
-            data = store.get(item.digest)
-            if data is None:
-                raise CacheEntryError("entry vanished mid-scan")
-            text = data.decode("utf-8")
+            text = path.read_bytes().decode("utf-8")
             entry_from_json(text)
-            expected = digest_for_key(json.loads(text)["key"])
-            if item.digest != expected:
+            payload = json.loads(text)
+            if "key" not in payload:
+                raise CacheEntryError("entry has no key")
+            expected = digest_for_key(payload["key"])
+            if path.name != f"{expected}{ENTRY_SUFFIX}":
                 raise CacheEntryError(
                     f"digest mismatch (expected {expected})")
         except (CacheEntryError, OSError, UnicodeDecodeError) as error:
-            report["bad"].append({"path": store.location(item.digest),
-                                  "error": str(error)})
+            report["bad"].append({"path": str(path), "error": str(error)})
         else:
             report["ok"] += 1
     return report
 
 
-def cache_clear(target: CacheTarget = None) -> int:
-    """Delete all entries, bundles and backend debris; returns the count
+def cache_clear(cache_dir: Optional[Path | str] = None) -> int:
+    """Delete all entries, bundles and ``*.tmp`` debris; returns the count
     of objects removed (a bundle counts as one)."""
-    return open_store(target).clear()
-
-
-def sync_stores(src: Store, dst: Store,
-                progress: Optional["_ProgressFn"] = None) -> SyncReport:
-    """Replicate every entry and bundle from ``src`` into ``dst``.
-
-    Digests already present in ``dst`` are skipped (content addressing:
-    same digest, same bytes), so re-running a sync is cheap and an
-    interrupted one resumes where it stopped.  Entries whose source
-    vanishes mid-copy are skipped rather than failed - another process
-    evicting concurrently is normal operation, not an error.
-    """
-    report = SyncReport()
-    for item in src.scan():
-        if item.kind == KIND_BUNDLE:
-            if dst.has_bundle(item.digest):
-                report.bundles_skipped += 1
-                continue
-            files = src.get_bundle(item.digest)
-            if files is None:     # incomplete or concurrently deleted
-                report.bundles_skipped += 1
-                continue
-            dst.put_bundle(item.digest, files)
-            report.bundles_copied += 1
-            report.bytes_copied += sum(len(blob) for blob in files.values())
-        else:
-            if dst.exists(item.digest):
-                report.entries_skipped += 1
-                continue
-            data = src.get(item.digest)
-            if data is None:
-                report.entries_skipped += 1
-                continue
-            dst.put(item.digest, data)
-            report.entries_copied += 1
-            report.bytes_copied += len(data)
-        if progress is not None:
-            progress(item.kind, item.digest)
-    return report
+    return FileStore(_root(cache_dir)).clear()

@@ -136,12 +136,12 @@ class MetricRegistry:
         self._pre_sample_hooks: List[Callable[[], None]] = []
 
     def add_pre_sample_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` before each sample (and each live export).
+        """Run ``hook`` before each sample.
 
         Components that buffer whole-unit counter increments between
         epochs (the controller's fast path) register their flush here, so
-        the sampled series - and :meth:`current` snapshots - always show
-        the same values the reference path's per-event increments would.
+        the sampled series always show the same values the reference
+        path's per-event increments would.
         """
         self._pre_sample_hooks.append(hook)
 
@@ -208,25 +208,6 @@ class MetricRegistry:
         return len(self.sample_times_ns)
 
     # -- export ---------------------------------------------------------
-
-    def current(self) -> Dict[str, Dict[str, float]]:
-        """Instantaneous instrument values, probes polled now.
-
-        Unlike :meth:`sample`, nothing is appended to the time series:
-        this is the read path for pull-style exporters - the ``repro
-        serve`` ``/metrics`` endpoint - that want live values outside
-        the simulator's epoch cadence.
-        """
-        for hook in self._pre_sample_hooks:
-            hook()
-        return {
-            "counters": {name: counter.value for name, counter in
-                         sorted(self._counters.items())},
-            "gauges": {name: gauge.value for name, gauge in
-                       sorted(self._gauges.items())},
-            "probes": {name: float(fn()) for name, fn in
-                       sorted(self._probes.items())},
-        }
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready dump: aligned series plus final histogram states."""

@@ -43,7 +43,7 @@ from repro.faults import FaultConfig
 from repro.hotpath import FASTPATH_ENV
 from repro.sim.config import CACHE_KEY_EXCLUDED, SimConfig
 from repro.sim.system import System
-from repro.store import MemoryStore
+from repro.store import FileStore
 
 POLICIES = ["Norm", "BE-Mellow+SC", "Slow+SC"]
 WORKLOADS = ["hmmer", "lbm"]
@@ -422,7 +422,7 @@ def test_sweep_sliced_resimulates_schema_1_snapshot(
     config = SimConfig(workload="hmmer", policy="Norm", seed=3,
                        checkpoint_every=900).scaled(0.02)
     with caplog.at_level("WARNING", logger="repro.experiments.runner"):
-        [result] = Runner(store=MemoryStore()).sweep_sliced(
+        [result] = Runner(store=FileStore(tmp_path / "store")).sweep_sliced(
             [config], jobs=1, apply_env_scale=False,
             checkpoint_dir=tmp_path / "slices")
     assert any("re-simulating" in record.message

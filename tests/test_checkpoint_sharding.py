@@ -26,32 +26,32 @@ from repro.experiments.faults import (default_fault_config,
 from repro.experiments.runner import Runner, _advance_slice
 from repro.sim.config import SimConfig
 from repro.sim.system import System
-from repro.store import result_from_dict, store_from_url
+from repro.store import FileStore, result_from_dict
 
 POLICIES = ("Norm", "Slow+SC")
 SEEDS = 3
 SCALE = 0.01
 
 
-def _memory_runner() -> Runner:
-    return Runner(store=store_from_url("memory:"))
+def _runner(store_dir: Path) -> Runner:
+    return Runner(store=FileStore(store_dir))
 
 
 def _records_json(records) -> str:
     return json.dumps(records, sort_keys=True)
 
 
-def test_serial_vs_sharded_records_byte_identical() -> None:
+def test_serial_vs_sharded_records_byte_identical(tmp_path: Path) -> None:
     """The merged right-censored records of a process-sharded study are
     byte-for-byte those of a serial sweep over the same grid.  Separate
-    in-memory stores rule out cache cross-talk making this trivial."""
-    serial = _memory_runner()
+    stores rule out cache cross-talk making this trivial."""
+    serial = _runner(tmp_path / "serial")
     results = serial.sweep(
         survival_configs(policies=POLICIES, seeds=SEEDS, scale=SCALE),
         jobs=1)
     serial_records = survival_records(POLICIES, SEEDS, results)
 
-    sharded = _memory_runner()
+    sharded = _runner(tmp_path / "sharded")
     sharded_records = sharded_survival_study(
         runner=sharded, policies=POLICIES, seeds=SEEDS, scale=SCALE,
         slices=3, jobs=2)
@@ -63,19 +63,19 @@ def test_sliced_serial_path_matches_pool_path(tmp_path: Path) -> None:
     """jobs=1 drives the same snapshot chain without a pool; records
     must not depend on which execution path ran the slices."""
     pooled = sharded_survival_study(
-        runner=_memory_runner(), policies=POLICIES, seeds=SEEDS,
-        scale=SCALE, slices=3, jobs=2)
+        runner=_runner(tmp_path / "pooled"), policies=POLICIES,
+        seeds=SEEDS, scale=SCALE, slices=3, jobs=2)
     serial = sharded_survival_study(
-        runner=_memory_runner(), policies=POLICIES, seeds=SEEDS,
+        runner=_runner(tmp_path / "serial"), policies=POLICIES, seeds=SEEDS,
         scale=SCALE, slices=3, jobs=1,
         checkpoint_dir=tmp_path / "slices")
     assert _records_json(serial) == _records_json(pooled)
 
 
-def test_sliced_configs_share_cache_entries() -> None:
+def test_sliced_configs_share_cache_entries(tmp_path: Path) -> None:
     """checkpoint_every stays outside the cache key, so a sliced study
     re-reads a serial study's entries instead of re-simulating."""
-    runner = _memory_runner()
+    runner = _runner(tmp_path)
     runner.sweep(
         survival_configs(policies=POLICIES, seeds=SEEDS, scale=SCALE),
         jobs=1)

@@ -10,8 +10,8 @@ ROOT = Path(__file__).parent.parent
 REQUIRED_DOCS = [
     "README.md", "DESIGN.md", "EXPERIMENTS.md",
     "docs/architecture.md", "docs/mechanisms.md", "docs/workloads.md",
-    "docs/extending.md", "docs/observability.md", "docs/serving.md",
-    "docs/storage.md", "docs/checkpointing.md",
+    "docs/extending.md", "docs/observability.md", "docs/storage.md",
+    "docs/checkpointing.md",
 ]
 
 

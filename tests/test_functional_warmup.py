@@ -1,6 +1,7 @@
 """Tests for the functional LLC warmup phase and warm-state reuse."""
 
 import logging
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from repro.core.policies import PAPER_POLICY_NAMES
 from repro.experiments.faults import sliced_survival_configs
 from repro.experiments.runner import Runner
 from repro.sim.system import System, run_simulation
-from repro.store import MemoryStore, result_to_dict
+from repro.store import FileStore, result_to_dict
 
 
 def make_system(**kwargs):
@@ -89,14 +90,18 @@ SMALL = dict(warmup_accesses=1000, measure_accesses=2000,
              llc_size_bytes=256 * 1024)
 
 
-def sweep(configs, sliced=False, **kwargs):
-    """(runner, results, progress reports) of a serial cold-store sweep."""
-    runner = Runner(store=MemoryStore())
-    reports = []
-    run = runner.sweep_sliced if sliced else runner.sweep
-    results = run(configs, jobs=1, progress=reports.append,
-                  apply_env_scale=False, **kwargs)
-    return runner, results, reports
+@pytest.fixture
+def sweep(tmp_path):
+    """(runner, results, progress reports) of a serial sweep, each call on
+    a fresh cold store."""
+    def run_sweep(configs, sliced=False, **kwargs):
+        runner = Runner(store=FileStore(tempfile.mkdtemp(dir=tmp_path)))
+        reports = []
+        run = runner.sweep_sliced if sliced else runner.sweep
+        results = run(configs, jobs=1, progress=reports.append,
+                      apply_env_scale=False, **kwargs)
+        return runner, results, reports
+    return run_sweep
 
 
 def assert_matches_cold(configs, results):
@@ -144,7 +149,7 @@ def test_warm_key_ignores_policy_and_timing():
 
 
 @pytest.mark.parametrize("workload", ["hmmer", "lbm"])
-def test_warm_started_sweep_matches_cold_runs(workload, captures):
+def test_warm_started_sweep_matches_cold_runs(workload, captures, sweep):
     configs = [SimConfig(workload, policy, **SMALL)
                for policy in PAPER_POLICY_NAMES]
     runner, results, reports = sweep(configs)
@@ -154,7 +159,7 @@ def test_warm_started_sweep_matches_cold_runs(workload, captures):
     assert [r.warm_started for r in reports] == [False] + [True] * 8
 
 
-def test_sweep_groups_interleaved_warm_keys(captures):
+def test_sweep_groups_interleaved_warm_keys(captures, sweep):
     # Policy-major grid: the two seeds interleave in input order.
     configs = [SimConfig("hmmer", policy, seed=seed, **SMALL)
                for policy in ("Norm", "Slow+SC", "B-Mellow+SC")
@@ -168,7 +173,7 @@ def test_sweep_groups_interleaved_warm_keys(captures):
     assert len(captures) == 2
 
 
-def test_warm_started_sliced_fault_grid_matches_cold_runs(captures):
+def test_warm_started_sliced_fault_grid_matches_cold_runs(captures, sweep):
     # A 256 KB LLC keeps zeusmp's warmup short.
     configs = [replace(config, llc_size_bytes=SMALL["llc_size_bytes"])
                for config in sliced_survival_configs(
@@ -181,7 +186,7 @@ def test_warm_started_sliced_fault_grid_matches_cold_runs(captures):
     assert len(captures) == 2
 
 
-def test_warm_started_telemetry_bundle_is_byte_identical(tmp_path):
+def test_warm_started_telemetry_bundle_is_byte_identical(tmp_path, sweep):
     configs = [SimConfig("lbm", policy, telemetry=True,
                          telemetry_dir=str(tmp_path / f"sweep-{policy}"),
                          **SMALL)
@@ -202,7 +207,7 @@ def test_warm_started_telemetry_bundle_is_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("env", ["REPRO_SANITIZE", "REPRO_NO_FASTPATH"])
 def test_warm_started_sweep_matches_cold_runs_under_env(env, monkeypatch,
-                                                        captures):
+                                                        captures, sweep):
     monkeypatch.setenv(env, "1")
     configs = [SimConfig("hmmer", policy, **SMALL)
                for policy in ("Norm", "BE-Mellow+SC+WQ", "Slow+SC")]
@@ -212,7 +217,7 @@ def test_warm_started_sweep_matches_cold_runs_under_env(env, monkeypatch,
     assert len(captures) == 1
 
 
-def test_warm_started_dram_buffer_matches_cold_runs():
+def test_warm_started_dram_buffer_matches_cold_runs(sweep):
     configs = [SimConfig("lbm", policy, dram_buffer_entries=64, **SMALL)
                for policy in ("Norm", "BE-Mellow+SC+WQ")]
     runner, results, _ = sweep(configs)
@@ -220,7 +225,7 @@ def test_warm_started_dram_buffer_matches_cold_runs():
     assert_matches_cold(configs, results)
 
 
-def test_mix_falls_back_to_cold_warmup(caplog, warm_chunk_calls):
+def test_mix_falls_back_to_cold_warmup(caplog, warm_chunk_calls, sweep):
     configs = [SimConfig("mix_light_heavy", policy, **SMALL)
                for policy in ("Norm", "Slow+SC")]
     cold_calls = 0
@@ -239,7 +244,8 @@ def test_mix_falls_back_to_cold_warmup(caplog, warm_chunk_calls):
 
 
 def test_runs_without_shared_warm_keys_warm_as_before(warm_chunk_calls,
-                                                      captures):
+                                                      captures, sweep,
+                                                      tmp_path):
     configs = [SimConfig("hmmer", "Norm", seed=seed, **SMALL)
                for seed in (1, 2, 3)]
     per_run = []
@@ -250,7 +256,7 @@ def test_runs_without_shared_warm_keys_warm_as_before(warm_chunk_calls,
     assert min(per_run) > 0
 
     del warm_chunk_calls[:]
-    runner = Runner(store=MemoryStore())
+    runner = Runner(store=FileStore(tmp_path / "single"))
     runner.run(configs[0])
     assert len(warm_chunk_calls) == per_run[0]
 
@@ -265,7 +271,7 @@ def test_runs_without_shared_warm_keys_warm_as_before(warm_chunk_calls,
     assert captures == []
 
 
-def test_miss_heavy_warmup_is_reused(warm_chunk_calls, captures):
+def test_miss_heavy_warmup_is_reused(warm_chunk_calls, captures, sweep):
     # lbm fills the default 2 MB LLC in ~1.25 records per line, the
     # shortest warmups there are; capturing and restoring the columnar
     # LLC section still costs less than replaying them, so the group

@@ -73,6 +73,18 @@ class TestRunnerCache:
         assert fresh.simulated == 1
         assert result.ipc > 0
 
+    def test_malformed_wear_record_resimulated(self, tmp_path):
+        runner = Runner(cache_dir=tmp_path)
+        config = tiny_config()
+        runner.run(config)
+        path = runner._path_for(config)
+        entry = json.loads(path.read_text())
+        entry["result"]["wear_records"][0]["slow"] = 7   # not an object
+        path.write_text(json.dumps(entry))
+        fresh = Runner(cache_dir=tmp_path)
+        fresh.run(config)
+        assert fresh.simulated == 1
+
     def test_no_cache_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         runner = Runner(cache_dir=tmp_path)

@@ -4,8 +4,7 @@ Fixtures are written to ``tmp_path`` as little multi-module packages so
 the interprocedural machinery (import resolution, cross-module taint,
 annotation-based ownership) is exercised for real, not just the
 single-file fast path.  The digest-stability section pins cache digests
-across the serve-layer locking changes: adding locks must never move a
-cache key.
+across locking changes: adding locks must never move a cache key.
 """
 
 import hashlib
@@ -577,7 +576,7 @@ def test_check_fails_on_findings_and_writes_sarif(tmp_path, capsys, monkeypatch)
 
 
 # --------------------------------------------------------------------------
-# Digest stability across the serve-layer locking changes
+# Digest stability across locking changes
 # --------------------------------------------------------------------------
 
 def test_cache_digests_unchanged_by_locking():
@@ -593,12 +592,6 @@ def test_faults_digest_unchanged_by_registry():
     from repro.sim.config import SimConfig
     config = SimConfig("zeusmp", policy="BE-Mellow+SC", faults=FaultConfig())
     assert config.cache_digest() == "7500e76450aa31102f58d533"
-
-def test_job_spec_digest_unchanged():
-    from repro.serve.schemas import parse_job_spec
-    spec = parse_job_spec(
-        {"kind": "run", "workload": "lbm", "policy": "Norm", "scale": 0.05})
-    assert spec.digest == "8d238a81b934d6ab2c4bc890"
 
 
 # --------------------------------------------------------------------------

@@ -1,42 +1,36 @@
-"""Storage backends: conformance, compat, eviction, URLs, sync, equivalence.
+"""The result store: FileStore contract, layout compat, digests, no-cache.
 
-One shared conformance class runs the identical contract against every
-backend; the rest pins what actually matters operationally - pre-store
-cache directories keep reading, digests never move, ``cache sync``
-round-trips bit-identically, and a sqlite-backed parallel sweep matches
-a serial file-backed one.
+Pins what matters operationally: pre-existing cache directories keep
+reading, digests never move, ``REPRO_NO_CACHE`` persists nothing past
+the process, and the entry codec round-trips exactly.
 """
 
 import json
 import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.endurance.wear import BankWearRecord
 from repro.experiments.runner import Runner
 from repro.sim.config import SimConfig
 from repro.sim.stats import RunResult
 from repro.sim.system import run_simulation
 from repro.store import (
-    EvictionPolicy,
     FileStore,
-    MemoryStore,
-    SQLiteStore,
-    StoreURLError,
-    TieredStore,
     atomic_write_text,
     cache_stats,
+    cache_verify,
     entry_from_json,
     entry_to_json,
-    resolve_store,
     result_to_dict,
-    store_from_url,
-    sync_stores,
 )
-from repro.telemetry import MANIFEST_NAME
-
-BACKENDS = ["file", "sqlite", "memory", "tiered"]
+from repro.telemetry import MANIFEST_NAME, bundle_is_complete
 
 TINY = dict(warmup_accesses=2000, measure_accesses=3000,
             llc_size_bytes=128 * 1024)
@@ -51,50 +45,27 @@ def tiny_config(workload="GemsFDTD", **kwargs):
     return SimConfig(workload=workload, **merged)
 
 
-def make_store(kind, tmp_path, policy=None, clock=None):
-    if kind == "file":
-        return FileStore(tmp_path / "cache", policy=policy, clock=clock)
-    if kind == "sqlite":
-        return SQLiteStore(tmp_path / "cache.db", policy=policy, clock=clock)
-    if kind == "memory":
-        return MemoryStore(policy=policy, clock=clock)
-    if kind == "tiered":
-        return TieredStore(MemoryStore(clock=clock),
-                           SQLiteStore(tmp_path / "remote.db", clock=clock))
-    raise AssertionError(kind)
+def make_bundle(store, digest):
+    bundle = store.bundle_path(digest)
+    bundle.mkdir(parents=True)
+    (bundle / "metrics.json").write_text("{}")
+    (bundle / MANIFEST_NAME).write_text("{}")
 
 
-def make_bundle(marker=b"x"):
-    return {
-        "metrics.json": b'{"m": 1}' + marker,
-        "trace.jsonl": b'{"e": 1}\n',
-        MANIFEST_NAME: b'{"files": ["metrics.json", "trace.jsonl"]}',
-    }
-
-
-@pytest.fixture(params=BACKENDS)
-def store(request, tmp_path):
-    s = make_store(request.param, tmp_path)
-    yield s
-    s.close()
+@pytest.fixture(params=["file"])   # one store; keeps the test ids stable
+def store(tmp_path):
+    return FileStore(tmp_path / "cache")
 
 
 class TestConformance:
-    """The identical contract, enforced against every backend."""
-
-    def test_get_missing_is_none_and_counts_a_miss(self, store):
+    def test_get_missing_is_none(self, store):
         assert store.get(DIGEST) is None
-        assert store.counters.gets == 1
-        assert store.counters.misses == 1
-        assert store.counters.hits == 0
 
     def test_put_get_roundtrip(self, store):
         store.put(DIGEST, b"payload")
         assert store.get(DIGEST) == b"payload"
-        assert store.exists(DIGEST)
-        assert not store.exists(OTHER)
-        assert store.counters.puts == 1
-        assert store.counters.hits == 1
+        assert store.entry_path(DIGEST).is_file()
+        assert not store.entry_path(OTHER).exists()
 
     def test_overwrite_last_write_wins(self, store):
         store.put(DIGEST, b"first")
@@ -106,67 +77,47 @@ class TestConformance:
         assert store.delete(DIGEST) is True
         assert store.delete(DIGEST) is False
         assert store.get(DIGEST) is None
-        assert store.counters.deletes == 1
 
     def test_scan_reports_entries_and_bundles(self, store):
         store.put(DIGEST, b"data")
-        store.put_bundle(OTHER, make_bundle())
-        found = {(e.kind, e.digest): e for e in store.scan()}
-        assert ("entry", DIGEST) in found
-        assert ("bundle", OTHER) in found
-        assert found[("entry", DIGEST)].size == len(b"data")
+        make_bundle(store, OTHER)
+        report = cache_verify(store.root)
+        assert [bad["path"] for bad in report["bad"]] == [
+            str(store.entry_path(DIGEST))]
 
     def test_scan_order_is_deterministic(self, store):
         store.put(OTHER, b"b")
         store.put(DIGEST, b"a")
-        digests = [e.digest for e in store.scan()]
-        assert digests == sorted(digests)
+        paths = [bad["path"] for bad in cache_verify(store.root)["bad"]]
+        assert paths == sorted(paths)
+        assert len(paths) == 2
 
     def test_stat_summary(self, store):
         store.put(DIGEST, b"12345")
-        store.put_bundle(OTHER, make_bundle())
-        stat = store.stat()
-        assert stat.entries == 1
-        assert stat.bundles == 1
-        assert stat.entry_bytes == 5
-        assert stat.kind == store.kind
+        make_bundle(store, OTHER)
+        stats = cache_stats(store.root)
+        assert stats["entries"] == 1
+        assert stats["telemetry_bundles"] == 1
+        assert stats["total_bytes"] == 5
 
     def test_bundle_roundtrip(self, store):
-        files = make_bundle()
-        assert not store.has_bundle(DIGEST)
-        store.put_bundle(DIGEST, files)
-        assert store.has_bundle(DIGEST)
-        assert store.get_bundle(DIGEST) == files
-        assert store.delete_bundle(DIGEST) is True
-        assert store.delete_bundle(DIGEST) is False
-        assert store.get_bundle(DIGEST) is None
-
-    def test_bundle_requires_manifest(self, store):
-        files = make_bundle()
-        del files[MANIFEST_NAME]
-        with pytest.raises(ValueError, match="manifest"):
-            store.put_bundle(DIGEST, files)
-        assert not store.has_bundle(DIGEST)
+        config = tiny_config()
+        _, bundle = Runner(store=store).run_traced(config)
+        assert bundle == store.bundle_path(config.cache_digest())
+        assert bundle_is_complete(bundle)
+        assert store.clear() == 2
+        assert not bundle.exists()
 
     def test_clear_removes_everything(self, store):
         store.put(DIGEST, b"data")
-        store.put_bundle(OTHER, make_bundle())
-        assert store.clear() == 2
-        assert store.scan() == []
-
-    def test_description_roundtrips_through_parser(self, store):
-        rebuilt = store_from_url(store.description)
-        try:
-            assert rebuilt.kind == store.kind
-        finally:
-            rebuilt.close()
-
-    def test_location_mentions_the_digest(self, store):
-        assert DIGEST in store.location(DIGEST)
+        make_bundle(store, OTHER)
+        (store.root / "crash.json.tmp").write_bytes(b"debris")
+        assert store.clear() == 3
+        assert list(store.root.iterdir()) == []
 
 
 class TestFileStoreCompat:
-    """Pre-store ``.repro_cache`` directories must read back unchanged."""
+    """Pre-existing ``.repro_cache`` directories must read back unchanged."""
 
     def test_reads_entries_written_by_the_old_layout(self, tmp_path):
         config = tiny_config()
@@ -192,16 +143,10 @@ class TestFileStoreCompat:
         assert s.entry_path(DIGEST) == tmp_path / f"{DIGEST}.json"
         assert s.bundle_path(DIGEST) == tmp_path / f"{DIGEST}.telemetry"
 
-    def test_non_filesystem_backends_expose_no_paths(self, tmp_path):
-        for s in (SQLiteStore(tmp_path / "c.db"), MemoryStore()):
-            assert s.entry_path(DIGEST) is None
-            assert s.bundle_path(DIGEST) is None
-            s.close()
-
 
 PINNED_DIGESTS = {
     # Recorded across earlier PRs; a store-layer change moving any of
-    # these would orphan every existing cache in every backend.
+    # these would orphan every existing cache.
     ("lbm", "Norm", 1, 16, 4): "244de89cfa2ec43abc490663",
     ("hmmer", "BE-Mellow+SC+WQ", 7, 16, 4): "49a5aa88013834afd88743d5",
     ("gups", "Slow+SC", 1, 8, 2): "7fd6e25b53191e2e57b364dc",
@@ -220,306 +165,87 @@ class TestDigestStability:
         small = SimConfig("hmmer", policy="Norm").scaled(0.05)
         assert small.cache_digest() == "a1c5ae8b70ec20ac7a1fbd05"
 
-    @pytest.mark.parametrize("kind", BACKENDS)
-    def test_backend_choice_never_enters_the_digest(self, kind, tmp_path):
+    def test_entry_lands_under_the_config_digest(self, tmp_path):
         config = tiny_config()
-        runner = Runner(store=make_store(kind, tmp_path))
+        runner = Runner(store=FileStore(tmp_path))
         runner.run(config)
-        assert runner.store.exists(config.cache_digest())
-        runner.store.close()
-
-
-class TestEviction:
-    def test_ttl_expires_old_entries(self, tmp_path):
-        now = [1000.0]
-        s = MemoryStore(policy=EvictionPolicy(ttl=60.0),
-                        clock=lambda: now[0])
-        s.put(DIGEST, b"old")
-        now[0] += 120.0
-        s.put(OTHER, b"new")     # put triggers eviction
-        assert s.get(DIGEST) is None
-        assert s.get(OTHER) == b"new"
-        assert s.counters.evictions == 1
-
-    def test_max_entries_evicts_least_recently_used(self, tmp_path):
-        now = [0.0]
-        s = SQLiteStore(tmp_path / "lru.db",
-                        policy=EvictionPolicy(max_entries=2),
-                        clock=lambda: now[0])
-        digests = ["aa" * 12, "bb" * 12, "cc" * 12]
-        for d in digests[:2]:
-            now[0] += 1.0
-            s.put(d, b"x")
-        now[0] += 1.0
-        s.get(digests[0])          # refresh: aa is now most recently used
-        now[0] += 1.0
-        s.put(digests[2], b"x")    # bb is the LRU victim
-        assert s.exists(digests[0])
-        assert not s.exists(digests[1])
-        assert s.exists(digests[2])
-        assert s.counters.evictions == 1
-        s.close()
-
-    def test_max_bytes_trims_until_it_fits(self, tmp_path):
-        now = [0.0]
-        s = MemoryStore(policy=EvictionPolicy(max_bytes=10),
-                        clock=lambda: now[0])
-        now[0] += 1.0
-        s.put(DIGEST, b"12345678")
-        now[0] += 1.0
-        s.put(OTHER, b"12345678")
-        assert not s.exists(DIGEST)
-        assert s.exists(OTHER)
-
-    def test_eviction_takes_the_bundle_with_the_entry(self, tmp_path):
-        now = [1000.0]
-        s = FileStore(tmp_path / "c", policy=EvictionPolicy(max_entries=1),
-                      clock=lambda: now[0])
-        s.put(DIGEST, b"x")
-        s.put_bundle(DIGEST, make_bundle())
-        # Age the entry below the newcomer (file mtimes are real time).
-        old = 1.0
-        os.utime(s.entry_path(DIGEST), (old, old))
-        s.put(OTHER, b"y")
-        assert not s.exists(DIGEST)
-        assert not s.has_bundle(DIGEST)
-        assert s.exists(OTHER)
-
-    def test_unbounded_policy_is_rejected_values(self):
-        with pytest.raises(ValueError):
-            EvictionPolicy(ttl=-1.0)
-        with pytest.raises(ValueError):
-            EvictionPolicy(max_entries=-1)
-        assert not EvictionPolicy().bounded
-        assert EvictionPolicy(ttl=5.0).bounded
-
-
-class TestURLGrammar:
-    def test_file_url(self, tmp_path):
-        s = store_from_url(f"file:{tmp_path}/c")
-        assert isinstance(s, FileStore)
-        assert s.root == tmp_path / "c"
-
-    def test_sqlite_url_and_default_path(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        s = store_from_url("sqlite:")
-        assert isinstance(s, SQLiteStore)
-        assert s.path.name == SQLiteStore.DEFAULT_PATH
-        s.close()
-
-    def test_memory_url(self):
-        assert isinstance(store_from_url("memory:"), MemoryStore)
-
-    def test_memory_url_rejects_a_path(self):
-        with pytest.raises(StoreURLError):
-            store_from_url("memory:somewhere")
-
-    def test_tiered_url(self, tmp_path):
-        s = store_from_url(f"tiered:memory:|sqlite:{tmp_path}/r.db")
-        assert isinstance(s, TieredStore)
-        assert isinstance(s.local, MemoryStore)
-        assert isinstance(s.remote, SQLiteStore)
-        s.close()
-
-    def test_tiered_does_not_nest(self, tmp_path):
-        with pytest.raises(StoreURLError, match="nest"):
-            store_from_url("tiered:memory:|tiered:memory:|memory:")
-
-    def test_unknown_scheme(self):
-        with pytest.raises(StoreURLError, match="unknown store scheme"):
-            store_from_url("redis:localhost")
-
-    def test_missing_scheme(self):
-        with pytest.raises(StoreURLError, match="scheme"):
-            store_from_url(".repro_cache")
-
-    def test_policy_params(self, tmp_path):
-        s = store_from_url(
-            f"file:{tmp_path}/c?ttl=60&max_entries=10&max_bytes=4096")
-        assert s.policy == EvictionPolicy(ttl=60.0, max_entries=10,
-                                          max_bytes=4096)
-
-    def test_unknown_param_rejected(self, tmp_path):
-        with pytest.raises(StoreURLError, match="unknown store parameter"):
-            store_from_url(f"file:{tmp_path}/c?shards=4")
-
-    def test_bad_param_value_rejected(self, tmp_path):
-        with pytest.raises(StoreURLError, match="bad value"):
-            store_from_url(f"file:{tmp_path}/c?ttl=soon")
+        assert runner.store.get(config.cache_digest()) is not None
 
 
 class TestResolvePrecedence:
     def test_no_cache_env_wins_over_everything(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        monkeypatch.setenv("REPRO_CACHE_URL", f"sqlite:{tmp_path}/c.db")
-        s = resolve_store(cache_dir=tmp_path, url=f"file:{tmp_path}/c")
-        assert isinstance(s, MemoryStore)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        runner = Runner(cache_dir=tmp_path / "dir")
+        assert runner.store.root not in (tmp_path / "env", tmp_path / "dir")
+        assert runner.store.root.is_dir()
 
-    def test_explicit_url_beats_cache_dir(self, tmp_path):
-        s = resolve_store(cache_dir=tmp_path / "dir",
-                          url=f"sqlite:{tmp_path}/c.db")
-        assert isinstance(s, SQLiteStore)
-        s.close()
-
-    def test_cache_dir_beats_env_url(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_URL", f"sqlite:{tmp_path}/c.db")
-        s = resolve_store(cache_dir=tmp_path / "dir")
-        assert isinstance(s, FileStore)
-        assert s.root == tmp_path / "dir"
-
-    def test_env_url_beats_env_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_URL", f"sqlite:{tmp_path}/c.db")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "dir"))
-        s = resolve_store()
-        assert isinstance(s, SQLiteStore)
-        s.close()
+    def test_cache_dir_beats_env_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        runner = Runner(cache_dir=tmp_path / "dir")
+        assert runner.store.root == tmp_path / "dir"
 
     def test_env_dir_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_URL", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "dir"))
-        s = resolve_store()
-        assert isinstance(s, FileStore)
-        assert s.root == tmp_path / "dir"
+        assert Runner().store.root == tmp_path / "dir"
 
     def test_maintenance_ignores_no_cache(self, tmp_path, monkeypatch):
+        Runner(cache_dir=tmp_path).run(tiny_config())
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        s = resolve_store(cache_dir=tmp_path, respect_no_cache=False)
-        assert isinstance(s, FileStore)
+        assert cache_stats(tmp_path)["entries"] == 1
 
-    def test_runner_under_no_cache_uses_memory_store(self, tmp_path,
-                                                     monkeypatch):
+
+class TestNoCache:
+    """``REPRO_NO_CACHE=1``: a private temporary store, gone at exit."""
+
+    def test_nothing_persists_but_memo_still_hits(self, tmp_path,
+                                                  monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         runner = Runner(cache_dir=tmp_path)
-        assert isinstance(runner.store, MemoryStore)
         runner.run(tiny_config())
-        assert not list(tmp_path.glob("*.json"))
-        # The no-cache path is the same code path: memoisation still works.
         runner.run(tiny_config())
+        assert list(tmp_path.iterdir()) == []
         assert runner.simulated == 1
         assert runner.cache_hits == 1
 
+    def test_run_traced_returns_a_complete_bundle(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        _, bundle = Runner(cache_dir=tmp_path).run_traced(tiny_config())
+        assert bundle_is_complete(bundle)
+        assert json.loads((bundle / "metrics.json").read_text())["series"]
+        assert list(tmp_path.iterdir()) == []
 
-class TestSync:
-    def test_file_to_sqlite_to_file_is_byte_identical(self, tmp_path):
-        src = FileStore(tmp_path / "src")
-        runner = Runner(store=src)
-        configs = [tiny_config(policy="Norm"), tiny_config(policy="Slow")]
-        runner.sweep(configs, jobs=1)
-        src.put_bundle(DIGEST, make_bundle())
-
-        hop = SQLiteStore(tmp_path / "hop.db")
-        report = sync_stores(src, hop)
-        assert report.entries_copied == 2
-        assert report.bundles_copied == 1
-
-        back = FileStore(tmp_path / "roundtrip")
-        sync_stores(hop, back)
-        for config in configs:
-            digest = config.cache_digest()
-            assert back.get(digest) == src.get(digest)
-        assert back.get_bundle(DIGEST) == src.get_bundle(DIGEST)
-
-        a, b = cache_stats(src), cache_stats(back)
-        for key in ("entries", "total_bytes", "valid", "invalid",
-                    "schema_versions", "telemetry_bundles"):
-            assert a[key] == b[key], key
-        hop.close()
-
-    def test_sync_is_idempotent(self, tmp_path):
-        src = MemoryStore()
-        src.put(DIGEST, b"data")
-        src.put_bundle(OTHER, make_bundle())
-        dst = SQLiteStore(tmp_path / "dst.db")
-        sync_stores(src, dst)
-        again = sync_stores(src, dst)
-        assert again.entries_copied == 0
-        assert again.bundles_copied == 0
-        assert again.entries_skipped == 1
-        assert again.bundles_skipped == 1
-        dst.close()
-
-    def test_synced_cache_serves_hits(self, tmp_path):
-        config = tiny_config()
-        warm = Runner(cache_dir=tmp_path / "warm")
-        result = warm.run(config)
-        db = SQLiteStore(tmp_path / "moved.db")
-        sync_stores(FileStore(tmp_path / "warm"), db)
-        cold = Runner(store=db)
-        again = cold.run(config)
-        assert cold.simulated == 0
-        assert result_to_dict(again) == result_to_dict(result)
-        db.close()
+    def test_subprocess_leaves_no_temp_dir(self, tmp_path):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        script = (
+            "from repro.experiments.runner import Runner\n"
+            "from repro.sim.config import SimConfig\n"
+            f"config = SimConfig('GemsFDTD', **{TINY!r})\n"
+            "_, bundle = Runner().run_traced(config)\n"
+            "assert (bundle / 'manifest.json').is_file()\n"
+            "print(bundle)\n"
+        )
+        env = dict(os.environ, REPRO_NO_CACHE="1", TMPDIR=str(scratch),
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             cwd=tmp_path, check=True, capture_output=True,
+                             text=True).stdout
+        assert Path(out.strip()).parent.parent == scratch
+        assert list(scratch.iterdir()) == []
+        assert not (tmp_path / ".repro_cache").exists()
 
 
-class TestCrossBackendEquivalence:
-    def test_all_backends_yield_identical_results_and_bytes(self, tmp_path):
-        config = tiny_config(policy="BE-Mellow+SC")
-        digest = config.cache_digest()
-        dicts, blobs = [], []
-        for kind in BACKENDS:
-            s = make_store(kind, tmp_path / kind)
-            runner = Runner(store=s)
-            dicts.append(result_to_dict(runner.run(config)))
-            blobs.append(s.get(digest))
-            s.close()
-        assert all(d == dicts[0] for d in dicts)
-        assert all(b == blobs[0] for b in blobs)
-
-    def test_hit_counting_is_backend_independent(self, tmp_path):
-        grid = [tiny_config(policy=p) for p in ("Norm", "Slow")]
-        for kind in BACKENDS:
-            s = make_store(kind, tmp_path / kind)
-            first = Runner(store=s)
-            first.sweep(grid, jobs=1)
-            assert (first.simulated, first.cache_hits) == (2, 0), kind
-            second = Runner(store=s)
-            second.sweep(grid, jobs=1)
-            assert (second.simulated, second.cache_hits) == (0, 2), kind
-            s.close()
-
-    def test_parallel_sqlite_sweep_matches_serial_file_sweep(self, tmp_path):
-        grid = [
-            tiny_config(workload=workload, policy=policy)
-            for workload in ("GemsFDTD", "lbm")
-            for policy in ("Norm", "Slow")
-        ]
-        serial = Runner(cache_dir=tmp_path / "file").sweep(grid, jobs=1)
-        db = SQLiteStore(tmp_path / "par.db")
-        parallel = Runner(store=db).sweep(grid, jobs=8)
-        assert ([result_to_dict(r) for r in parallel]
-                == [result_to_dict(r) for r in serial])
-        db.close()
-
-
-class TestRunnerTelemetryAcrossBackends:
-    def test_sqlite_bundle_ingest_and_export(self, tmp_path):
-        db_path = tmp_path / "t.db"
-        config = tiny_config()
-        runner = Runner(store=SQLiteStore(db_path))
-        result, bundle_dir = runner.run_traced(config)
-        assert runner.store.has_bundle(config.cache_digest())
-        assert (bundle_dir / MANIFEST_NAME).is_file()
-        runner.store.close()
-
-        # A fresh process: result *and* bundle come back from the store.
-        fresh = Runner(store=SQLiteStore(db_path))
-        again, exported = fresh.run_traced(config)
-        assert fresh.simulated == 0
-        assert result_to_dict(again) == result_to_dict(result)
-        assert (exported / MANIFEST_NAME).is_file()
-        assert ((exported / "metrics.json").read_bytes()
-                == (bundle_dir / "metrics.json").read_bytes())
-        fresh.store.close()
-
+class TestCorruptEntry:
     def test_corrupt_store_entry_resimulates(self, tmp_path):
         config = tiny_config()
-        db = SQLiteStore(tmp_path / "c.db")
-        Runner(store=db).run(config)
-        db.put(config.cache_digest(), b"{not json")
-        fresh = Runner(store=db)
+        store = FileStore(tmp_path)
+        Runner(store=store).run(config)
+        store.put(config.cache_digest(), b"{not json")
+        fresh = Runner(store=store)
         fresh.run(config)
         assert fresh.simulated == 1
-        db.close()
 
 
 # -- codec round-trip property ------------------------------------------
@@ -574,24 +300,11 @@ class TestCodecProperty:
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_survives_a_store_hop(self, result):
         config = tiny_config()
-        store = MemoryStore()
-        store.put(config.cache_digest(),
-                  entry_to_json(config, result).encode("utf-8"))
-        data = store.get(config.cache_digest())
+        with tempfile.TemporaryDirectory() as root:
+            store = FileStore(root)
+            store.put(config.cache_digest(),
+                      entry_to_json(config, result).encode("utf-8"))
+            data = store.get(config.cache_digest())
         restored = entry_from_json(data.decode("utf-8"))
         assert json.loads(json.dumps(result_to_dict(restored))) \
             == result_to_dict(result)
-
-
-class TestServeMetricsExposure:
-    def test_store_counters_surface_on_metrics(self):
-        from repro.serve.server import ReproServer
-        runner = Runner(store=MemoryStore())
-        server = ReproServer(runner=runner)
-        runner.store.get(DIGEST)        # one miss
-        snapshot = server._metrics_snapshot()
-        assert snapshot["gauges"]["store.memory.gets"] == 1
-        assert snapshot["gauges"]["store.memory.misses"] == 1
-        assert snapshot["gauges"]["store.memory.hits"] == 0
-        for name in ("puts", "deletes", "evictions"):
-            assert snapshot["gauges"][f"store.memory.{name}"] == 0

@@ -198,6 +198,19 @@ class TestCacheMaintenance:
         assert report["ok"] == 0
         assert "digest mismatch" in report["bad"][0]["error"]
 
+    def test_verify_flags_entry_without_key(self, tmp_path):
+        runner = Runner(cache_dir=tmp_path)
+        config = tiny_config()
+        runner.run(config)
+        path = runner._path_for(config)
+        entry = json.loads(path.read_text())
+        del entry["key"]
+        path.write_text(json.dumps(entry))
+        report = cache_verify(tmp_path)
+        assert report["ok"] == 0
+        assert report["bad"] == [{"path": str(path),
+                                  "error": "entry has no key"}]
+
     def test_missing_dir_is_empty(self, tmp_path):
         missing = tmp_path / "nope"
         assert cache_stats(missing)["entries"] == 0
