@@ -7,8 +7,8 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint simlint typecheck test sanitize coverage \
-	bench-sanitizer trace-demo bench-telemetry bench-hotpath \
-	bench-hotpath-miss bench-sweep-hit bench-survival
+	bench-sanitizer trace-demo bench-telemetry bench-sweep-hit \
+	bench-survival
 
 check:
 	$(PYTHON) -m repro check
@@ -20,8 +20,6 @@ lint:
 	then ruff check .; \
 	else echo "lint: ruff not installed, skipping (CI runs it)"; fi
 
-# Incremental by default (.simlint_cache); `repro lint --no-cache` for a
-# cold run.
 simlint:
 	$(PYTHON) -m repro lint --stats src tests benchmarks examples
 
@@ -59,18 +57,6 @@ trace-demo:
 bench-telemetry:
 	$(PYTHON) benchmarks/check_telemetry_overhead.py
 
-# Hot-path speedup + bit-identity gate (same check CI's perf job runs);
-# leaves BENCH_hotpath.json behind.
-bench-hotpath:
-	$(PYTHON) benchmarks/check_hotpath_speedup.py
-
-# Miss-heavy rows only (gups/lbm/stream); faster iteration loop when
-# working on the controller/event-queue path.  Writes a separate report
-# so it never clobbers the committed full-matrix BENCH_hotpath.json.
-bench-hotpath-miss:
-	$(PYTHON) benchmarks/check_hotpath_speedup.py --configs miss \
-		--output BENCH_hotpath_miss.json
-
 # Warm-state reuse claim: hmmer x all nine paper policies through a
 # serial sweep, which warms the LLC once instead of nine times (see
 # "Warm-state reuse" in docs/performance.md).
@@ -78,8 +64,7 @@ bench-sweep-hit:
 	$(PYTHON) perfbench/run.py --workload sweep-hit --seed 1 --seconds 33 --trace 0
 
 # Fault-survival claim: the zeusmp survival grid sliced through
-# checkpoints, with write-verify on the fast controller spine, the
-# columnar LLC checkpoint section and one warmup per seed (see
-# docs/performance.md).
+# checkpoints, with write-verify, the columnar LLC checkpoint section
+# and one warmup per seed (see docs/performance.md).
 bench-survival:
 	$(PYTHON) perfbench/run.py --workload survival-sliced --seed 1 --seconds 33 --trace 0

@@ -13,14 +13,14 @@ Two representation rules keep restores bit-identical:
 
 * **Identity tables.**  :class:`~repro.memory.queues.Request` and
   :class:`~repro.memory.bank.InFlight` objects appear in several places
-  at once (queue FIFOs, bank in-flight slots, mirror arrays, *and*
-  inside stale completion-event closures, where ``bank.in_flight is not
-  op`` identity checks are load-bearing).  Each object is serialized
+  at once (queue FIFOs, the controller's per-bank in-flight slots, *and*
+  inside stale completion-event closures, where ``in_flight is not op``
+  identity checks are load-bearing).  Each object is serialized
   once under a table index and every appearance stores the index, so
   the restored object graph has the same aliasing as the original.
 * **Descriptors, not pickles.**  Event callbacks are bound methods and
   small lambdas over live simulator objects.  They are encoded as
-  symbolic descriptors (``["ctrl.read", bank, op]``) and rebuilt
+  symbolic descriptors (``["ctrl.read_fast", bank, op]``) and rebuilt
   against the restored system with the same closure shape, so a
   restored system can itself be captured again byte-identically
   (double round-trip idempotence).
@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.system import System
 
 #: Version of the *state* layout below (the file envelope has its own).
-STATE_SCHEMA_VERSION = 2
+STATE_SCHEMA_VERSION = 3
 
 _CTRL_STATS_FIELDS: Tuple[str, ...] = (
     "reads_from_llc", "writes_from_llc", "eager_from_llc", "reads_issued",
@@ -153,24 +153,14 @@ def _closure_cells(fn: Callable[..., Any]) -> Dict[str, Any]:
 # re-captures to an identical snapshot (the encoder below reads the
 # closure cells back out by name).
 
-def _make_complete_read(ctrl: Any, bank: Any, op: InFlight
+def _make_complete_read(ctrl: Any, bank_index: int, op: InFlight
                         ) -> Callable[[], None]:
-    return lambda: ctrl._complete_read(bank, op)
+    return lambda: ctrl._complete_read(bank_index, op)
 
 
-def _make_complete_write(ctrl: Any, bank: Any, op: InFlight
+def _make_complete_write(ctrl: Any, bank_index: int, op: InFlight
                          ) -> Callable[[], None]:
-    return lambda: ctrl._complete_write(bank, op)
-
-
-def _make_complete_read_fast(ctrl: Any, bank_index: int, op: InFlight
-                             ) -> Callable[[], None]:
-    return lambda: ctrl._complete_read_fast(bank_index, op)
-
-
-def _make_complete_write_fast(ctrl: Any, bank_index: int, op: InFlight
-                              ) -> Callable[[], None]:
-    return lambda: ctrl._complete_write_fast(bank_index, op)
+    return lambda: ctrl._complete_write(bank_index, op)
 
 
 def _make_poke(ctrl: Any, bank_index: int) -> Callable[..., None]:
@@ -268,17 +258,11 @@ class _Capture:
         if "_try_issue_bank" in names:
             defaults = callback.__defaults__ or ()  # type: ignore[attr-defined]
             return ["ctrl.poke", defaults[0]]
-        if "_complete_read_fast" in names:
+        if "_complete_read" in names:
             return ["ctrl.read_fast", cells["bank_index"],
                     self.inflight_ref(cells["op"])]
-        if "_complete_write_fast" in names:
-            return ["ctrl.write_fast", cells["bank_index"],
-                    self.inflight_ref(cells["op"])]
-        if "_complete_read" in names:
-            return ["ctrl.read", cells["bank"].index,
-                    self.inflight_ref(cells["op"])]
         if "_complete_write" in names:
-            return ["ctrl.write", cells["bank"].index,
+            return ["ctrl.write_fast", cells["bank_index"],
                     self.inflight_ref(cells["op"])]
         raise CheckpointUnsupportedError(
             f"unsupported event callback {callback!r} "
@@ -327,18 +311,12 @@ class _Restore:
         ctrl = system.controller
         if kind == "ctrl.poke":
             return _make_poke(ctrl, desc[1])
-        if kind == "ctrl.read":
-            return _make_complete_read(ctrl, ctrl.banks[desc[1]],
-                                       self.inflights[desc[2]])
-        if kind == "ctrl.write":
-            return _make_complete_write(ctrl, ctrl.banks[desc[1]],
-                                        self.inflights[desc[2]])
         if kind == "ctrl.read_fast":
-            return _make_complete_read_fast(ctrl, desc[1],
-                                            self.inflights[desc[2]])
+            return _make_complete_read(ctrl, desc[1],
+                                       self.inflights[desc[2]])
         if kind == "ctrl.write_fast":
-            return _make_complete_write_fast(ctrl, desc[1],
-                                             self.inflights[desc[2]])
+            return _make_complete_write(ctrl, desc[1],
+                                        self.inflights[desc[2]])
         raise CheckpointError(f"unknown event descriptor {desc!r}")
 
 
@@ -355,8 +333,7 @@ def _capture_queue(capture: _Capture, queue: RequestQueue) -> Dict[str, Any]:
 
 def _restore_queue(restore: _Restore, queue: RequestQueue,
                    state: Dict[str, Any]) -> None:
-    for bank, refs in enumerate(state["fifos"]):
-        fifo = queue._grow_to(bank)
+    for fifo, refs in zip(queue._fifos, state["fifos"]):
         fifo.clear()
         fifo.extend(restore.requests[ref] for ref in refs)
     queue._size = state["size"]
@@ -445,17 +422,15 @@ def _restore_llc(system: "System", state: Dict[str, Any]) -> None:
     # builds every line without a per-line argument tuple.
     lines = list(map(CacheLine, tags, state["dirty"],
                      state["eager_cleaned"], state["last_touch"]))
-    fastpath = lru._fastpath
     end = 0
     for index, length in enumerate(lengths):
         start, end = end, end + length
         lru.sets[index][:] = lines[start:end]
-        if fastpath:
-            set_tags = tags[start:end]
-            lru._tag_sets[index][:] = set_tags
-            members = lru._tag_members[index]
-            members.clear()
-            members.update(set_tags)
+        set_tags = tags[start:end]
+        lru._tag_sets[index][:] = set_tags
+        members = lru._tag_members[index]
+        members.clear()
+        members.update(set_tags)
     lru.set_access_counts[:] = state["set_access_counts"]
     # hit_counters / buckets are aliased by the LLC hot path
     # (llc._hit_counters, llc._db_buckets); restore strictly in place.
@@ -661,21 +636,13 @@ def capture_state(system: "System") -> Dict[str, Any]:
     system.wear.flush_pending()
     if ctrl._ts is not None:
         ctrl._ts.flush_pending()
-    ctrl.sync_bank_state()
 
     capture = _Capture(system)
     events = system.events
 
-    banks_rows = []
-    for bank in ctrl.banks:
-        banks_rows.append([
-            bank.open_row, bank.busy_until,
-            None if bank.in_flight is None
-            else capture.inflight_ref(bank.in_flight),
-            bank.busy_time_ns, bank.ops_begun, bank.ops_cancelled,
-            bank.lines_retired,
-        ])
-    mirror_in_flight = [
+    banks_rows = [[bank.busy_time_ns, bank.ops_begun, bank.ops_cancelled,
+                   bank.lines_retired] for bank in ctrl.banks]
+    bank_in_flight = [
         None if op is None else capture.inflight_ref(op)
         for op in ctrl._bank_in_flight
     ]
@@ -696,7 +663,6 @@ def capture_state(system: "System") -> Dict[str, Any]:
 
     state: Dict[str, Any] = {
         "state_schema": STATE_SCHEMA_VERSION,
-        "fastpath": bool(ctrl._fastpath),
         "sanitize": bool(system.sanitize),
         "events": {
             "now": events.now,
@@ -737,7 +703,7 @@ def capture_state(system: "System") -> Dict[str, Any]:
             "banks": banks_rows,
             "bank_busy_until": list(ctrl._bank_busy_until),
             "bank_open_row": list(ctrl._bank_open_row),
-            "bank_in_flight": mirror_in_flight,
+            "bank_in_flight": bank_in_flight,
         },
         "llc": _capture_llc(system),
         "wear": _capture_wear(system),
@@ -766,21 +732,15 @@ def restore_state(system: "System", state: Dict[str, Any]) -> None:
     """Overwrite a freshly constructed system with captured state.
 
     ``system`` must come straight from ``System(config)`` with the same
-    config (and the same fastpath/sanitize environment) the snapshot was
-    captured under: construction wires probes, rebinds hot-path methods,
-    and rebuilds the workload trace; this function then overwrites every
-    piece of mutable state.
+    config (and the same sanitize setting) the snapshot was captured
+    under: construction wires probes and rebuilds the workload trace;
+    this function then overwrites every piece of mutable state.
     """
     if state.get("state_schema") != STATE_SCHEMA_VERSION:
         raise CheckpointError(
             f"unsupported state schema {state.get('state_schema')!r} "
             f"(this build reads schema {STATE_SCHEMA_VERSION})")
     ctrl = system.controller
-    if bool(ctrl._fastpath) != bool(state["fastpath"]):
-        raise CheckpointError(
-            f"snapshot was captured with fastpath="
-            f"{bool(state['fastpath'])} but this environment resolves "
-            f"fastpath={bool(ctrl._fastpath)} (check REPRO_NO_FASTPATH)")
     if bool(system.sanitize) != bool(state["sanitize"]):
         raise CheckpointError(
             f"snapshot was captured with sanitize="
@@ -840,14 +800,8 @@ def restore_state(system: "System", state: Dict[str, Any]) -> None:
     _restore_queue(restore, ctrl.write_q, ctrl_state["queues"]["write"])
     _restore_queue(restore, ctrl.eager_q, ctrl_state["queues"]["eager"])
     for bank, row in zip(ctrl.banks, ctrl_state["banks"]):
-        bank.open_row = row[0]
-        bank.busy_until = row[1]
-        bank.in_flight = (None if row[2] is None
-                          else restore.inflights[row[2]])
-        bank.busy_time_ns = row[3]
-        bank.ops_begun = row[4]
-        bank.ops_cancelled = row[5]
-        bank.lines_retired = row[6]
+        (bank.busy_time_ns, bank.ops_begun, bank.ops_cancelled,
+         bank.lines_retired) = row
     ctrl._bank_busy_until[:] = ctrl_state["bank_busy_until"]
     ctrl._bank_open_row[:] = ctrl_state["bank_open_row"]
     ctrl._bank_in_flight[:] = [

@@ -1,7 +1,7 @@
 """``repro lint`` and ``repro check`` subcommands.
 
-``repro lint`` runs simlint with the incremental cache and can emit
-text, JSON, or SARIF 2.1.0.  Exit codes: 0 = clean, 1 = findings,
+``repro lint`` runs simlint and can emit text, JSON, or SARIF 2.1.0
+(CI uploads the SARIF report to code scanning).  Exit codes: 0 = clean, 1 = findings,
 2 = usage error.  ``--bench`` instead measures the runtime sanitizer's
 overhead on the smoke-sweep configs and verifies sanitized results are
 bit-identical to unsanitized ones.
@@ -34,9 +34,6 @@ if TYPE_CHECKING:   # pragma: no cover - typing only
 #: Default lint target when no paths are given.
 DEFAULT_PATHS = ("src",)
 
-#: Default incremental-cache location (relative to the CWD).
-DEFAULT_CACHE_DIR = ".simlint_cache"
-
 #: What ``repro check`` lints: the whole tree, not just src.
 CHECK_PATHS = ("src", "tests", "benchmarks", "examples")
 
@@ -58,15 +55,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated rule ids to run exclusively")
     parser.add_argument("--ignore", default=None,
                         help="comma-separated rule ids to skip")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel analysis processes (default 1)")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="incremental cache directory "
-                             f"(default {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental cache for this run")
     parser.add_argument("--stats", action="store_true",
-                        help="print cache/timing statistics to stderr")
+                        help="print file count and timing to stderr")
     parser.add_argument("--report-unused-suppressions",
                         dest="report_unused",
                         action=argparse.BooleanOptionalAction, default=True,
@@ -83,13 +73,6 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("paths", nargs="*", default=list(CHECK_PATHS),
                         help="directories to check "
                              f"(default: {' '.join(CHECK_PATHS)})")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel simlint processes (default 1)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable simlint's incremental cache")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="simlint cache directory "
-                             f"(default {DEFAULT_CACHE_DIR})")
     parser.add_argument("--require-tools", action="store_true",
                         help="fail when ruff or mypy is not installed "
                              "instead of skipping it (CI mode)")
@@ -126,9 +109,7 @@ def _run_lint(args: argparse.Namespace) -> Tuple[Optional[LintReport], int]:
             ignore=_split_rules(args.ignore) or (),
             report_unused=args.report_unused,
         )
-        cache_dir = None if args.no_cache else Path(args.cache_dir)
-        report = analyze_paths(args.paths, options,
-                               jobs=args.jobs, cache_dir=cache_dir)
+        report = analyze_paths(args.paths, options)
     except (ValueError, FileNotFoundError) as error:
         print(error, file=sys.stderr)
         return None, 2
@@ -164,7 +145,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.stats:
         print(
             f"simlint: {report.files} file(s), {report.analyzed} analyzed, "
-            f"{report.cached} from cache, {report.elapsed_s:.2f}s",
+            f"{report.elapsed_s:.2f}s",
             file=sys.stderr,
         )
     return code
@@ -196,8 +177,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     report, lint_code = _run_lint(argparse.Namespace(
         paths=args.paths, select=None, ignore=None,
-        report_unused=True, jobs=args.jobs,
-        no_cache=args.no_cache, cache_dir=args.cache_dir,
+        report_unused=True,
     ))
     if report is None:
         return 2
@@ -212,8 +192,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     failures += lint_code
     print(
         f"check: simlint {report.files} file(s), "
-        f"{report.analyzed} analyzed, {report.cached} from cache, "
-        f"{report.elapsed_s:.2f}s",
+        f"{report.analyzed} analyzed, {report.elapsed_s:.2f}s",
         file=sys.stderr,
     )
 

@@ -1,13 +1,12 @@
-"""simlint engine: discovery, caching, suppressions, rule selection.
+"""simlint engine: discovery, suppressions, rule selection.
 
 The engine turns paths into findings in four phases:
 
-1. **discover + hash** - expand ``*.py`` files and sha256 their content;
-2. **per-file analysis** (cacheable, parallelisable with ``jobs``) -
-   parse, run the syntactic rules (SIM001-SIM010), the per-file
+1. **discover** - expand ``*.py`` files;
+2. **per-file analysis** - parse, run the syntactic rules (SIM001-SIM010), the per-file
    completeness rule (SIM012), extract the module summary
    (:mod:`repro.lint.graph`) and the suppression comments;
-3. **project phase** - link every summary (cached or fresh) and run the
+3. **project phase** - link every summary and run the
    cross-file rules SIM011/SIM013 (:mod:`repro.lint.taint`);
 4. **finalize** - drop SIM001/SIM003 findings subsumed by a SIM011
    witness, apply suppressions and ``--select``/``--ignore``, and
@@ -28,20 +27,17 @@ paragraphs up - is inert.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import time
 import tokenize
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.cache import AnalysisCache
 from repro.lint.findings import Finding, sort_findings
 from repro.lint.graph import build_module_summary
-from repro.lint.rules import RULES, RULESET_VERSION, check_source
+from repro.lint.rules import RULES, check_source
 from repro.lint.taint import check_cache_completeness, check_project
 
 _SUPPRESS_RE = re.compile(
@@ -85,12 +81,11 @@ class LintOptions:
 
 @dataclass
 class LintReport:
-    """Findings plus run statistics (cache effectiveness, timing)."""
+    """Findings plus run statistics (file count, timing)."""
 
     findings: List[Finding]
     files: int = 0
     analyzed: int = 0      # files parsed + visited this run
-    cached: int = 0        # files served from the incremental cache
     elapsed_s: float = 0.0
 
 
@@ -145,7 +140,7 @@ def _matches(rule_id: str, rules: Sequence[str]) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Per-file analysis (phase 2; cacheable and process-parallel)
+# Per-file analysis (phase 2)
 # --------------------------------------------------------------------------
 
 def _analyze_source(path: str, source: str) -> Dict[str, Any]:
@@ -186,13 +181,12 @@ def _unreadable_analysis(path: str, error: Exception) -> Dict[str, Any]:
             "summary": None}
 
 
-def _pool_worker(item: Tuple[str, str]) -> Tuple[str, Dict[str, Any]]:
-    """Top-level (picklable) per-file analysis for ``--jobs``."""
-    path, source = item
+def _analyze_file(path: str, source: str) -> Dict[str, Any]:
+    """Per-file analysis; a syntax error becomes a SIM000 finding."""
     try:
-        return path, _analyze_source(path, source)
+        return _analyze_source(path, source)
     except SyntaxError as error:
-        return path, _syntax_error_analysis(path, error)
+        return _syntax_error_analysis(path, error)
 
 
 # --------------------------------------------------------------------------
@@ -289,30 +283,20 @@ def discover_files(paths: Iterable[Path]) -> List[Path]:
 
 
 def analyze_paths(paths: Iterable[Any],
-                  options: Optional[LintOptions] = None, *,
-                  jobs: int = 1,
-                  cache_dir: Optional[Path] = None) -> LintReport:
+                  options: Optional[LintOptions] = None) -> LintReport:
     """Lint every Python file under ``paths`` with full statistics.
 
-    ``cache_dir`` enables the incremental cache (per-file results keyed
-    by content hash + :data:`RULESET_VERSION`); ``jobs > 1`` analyses
-    cache misses on a process pool.  Unparsable/unreadable files surface
-    as synthetic ``SIM000`` error findings rather than aborting the run,
-    so one syntax error cannot hide every other finding in a tree.
+    Unparsable/unreadable files surface as synthetic ``SIM000`` error
+    findings rather than aborting the run, so one syntax error cannot
+    hide every other finding in a tree.
     """
     options = options if options is not None else LintOptions()
     started = time.perf_counter()   # simlint: ignore[SIM003] -- lint-run wall time is host-side tooling statistics
     files = discover_files(Path(p) for p in paths)
 
-    cache: Optional[AnalysisCache] = None
-    if cache_dir is not None:
-        cache = AnalysisCache(Path(cache_dir), RULESET_VERSION)
-
     per_file: Dict[str, Dict[str, Any]] = {}
     sources: Dict[str, Sequence[str]] = {}
-    pending: List[Tuple[str, str, str]] = []   # (path, source, digest)
-    cached_count = 0
-
+    analyzed = 0
     for file_path in files:
         path = str(file_path)
         try:
@@ -321,31 +305,8 @@ def analyze_paths(paths: Iterable[Any],
             per_file[path] = _unreadable_analysis(path, error)
             continue
         sources[path] = source.splitlines()
-        digest = hashlib.sha256(source.encode()).hexdigest()
-        entry = cache.get(path, digest) if cache is not None else None
-        if entry is not None:
-            per_file[path] = entry
-            cached_count += 1
-        else:
-            pending.append((path, source, digest))
-
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            analysed = dict(pool.map(
-                _pool_worker, [(p, s) for p, s, _ in pending]))
-        for path, _source, digest in pending:
-            per_file[path] = analysed[path]
-            if cache is not None:
-                cache.put(path, digest, analysed[path])
-    else:
-        for path, source, digest in pending:
-            analysis = _pool_worker((path, source))[1]
-            per_file[path] = analysis
-            if cache is not None:
-                cache.put(path, digest, analysis)
-
-    if cache is not None:
-        cache.save()
+        per_file[path] = _analyze_file(path, source)
+        analyzed += 1
 
     summaries = [analysis["summary"] for _, analysis in sorted(per_file.items())
                  if analysis["summary"] is not None]
@@ -353,10 +314,8 @@ def analyze_paths(paths: Iterable[Any],
     findings = _finalize(per_file, project_findings, subsumed, options,
                          sources)
     elapsed = time.perf_counter() - started   # simlint: ignore[SIM003] -- lint-run wall time is host-side tooling statistics
-    return LintReport(
-        findings=findings, files=len(files), analyzed=len(pending),
-        cached=cached_count, elapsed_s=elapsed,
-    )
+    return LintReport(findings=findings, files=len(files), analyzed=analyzed,
+                      elapsed_s=elapsed)
 
 
 def lint_paths(paths: Iterable[Any],

@@ -3,9 +3,7 @@
 This module turns one parsed file into a JSON-serialisable **module
 summary**: the per-function taint facts, class/dataclass shapes, and
 thread-shared mutation sites that :mod:`repro.lint.taint` later links
-into a project-wide call graph.  Keeping the summary serialisable is
-what makes the incremental cache work - a cached file contributes its
-summary to the cross-file fixpoint without being re-parsed.
+into a project-wide call graph.
 
 Dependency sets ("where could this value have come from") are lists of
 tagged JSON values, deduplicated and sorted by canonical encoding so

@@ -206,9 +206,9 @@ RULES: Dict[str, RuleInfo] = {
     )
 }
 
-#: Version of the analysis semantics.  Part of the incremental cache
-#: key: bump it whenever any rule's logic (not just its metadata)
-#: changes, so stale per-file results can never leak into a report.
+#: Version of the analysis semantics, reported as the tool version in
+#: SARIF output: bump it whenever any rule's logic (not just its
+#: metadata) changes.
 RULESET_VERSION = "2.2.0"
 
 # --------------------------------------------------------------------------

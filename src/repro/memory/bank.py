@@ -1,10 +1,8 @@
-"""Bank state machine: row buffer, busy tracking, in-flight operation."""
+"""Per-bank counters and the in-flight operation record."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from repro.memory.queues import Request
 
 
@@ -32,31 +30,24 @@ class InFlight:
 
 
 class Bank:
-    """One memory bank with an open-page 1 KB row buffer.
+    """One memory bank's lifetime counters.
 
     Writes are write-through: they never load the row buffer, and a write to
     the currently open row leaves the buffer open (the device updates it in
     place).  Reads open rows.
 
-    The three scheduling-hot fields (``busy_until``, ``open_row``,
-    ``in_flight``) have flat-array mirrors in the controller's fast path
-    (one list per field, indexed by bank id), so its issue scan reads
-    primitives instead of walking Bank objects.  The cold counters
-    (``busy_time_ns``, ``ops_begun``, ``ops_cancelled``, ``lines_retired``)
-    stay authoritative *here* in both modes - telemetry probes read them
-    live - and :meth:`apply_hot_state` writes the mirrors back at the fast
-    path's sync points (end of warmup, end of run).
+    The scheduling state (busy-until time, open row, in-flight operation)
+    lives in the controller's flat per-bank lists, which its issue scan
+    reads directly.  The counters here (``busy_time_ns``, ``ops_begun``,
+    ``ops_cancelled``, ``lines_retired``) are read live by telemetry
+    probes and by result collection.
     """
 
-    __slots__ = ("index", "open_row", "busy_until", "in_flight",
-                 "busy_time_ns", "ops_begun", "ops_cancelled",
+    __slots__ = ("index", "busy_time_ns", "ops_begun", "ops_cancelled",
                  "lines_retired")
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self.open_row: Optional[int] = None
-        self.busy_until: float = 0.0
-        self.in_flight: Optional[InFlight] = None
         self.busy_time_ns: float = 0.0   # accumulated for utilization stats
         # Lifetime operation tallies; exported per-bank by telemetry probes
         # and cheap enough (one integer add) to keep unconditionally.
@@ -65,51 +56,3 @@ class Bank:
         # Lines this bank has retired into its spare region (fault
         # injection); stays 0 when the subsystem is disabled.
         self.lines_retired = 0
-
-    def is_idle(self, now: float) -> bool:
-        return now >= self.busy_until
-
-    def row_hit(self, row: int) -> bool:
-        return self.open_row == row
-
-    def begin(self, op: InFlight) -> None:
-        """Start an operation; the bank is busy until ``op.finish_ns``."""
-        if op.finish_ns < op.start_ns:
-            raise ValueError("operation finishes before it starts")
-        self.in_flight = op
-        self.busy_until = op.finish_ns
-        self.busy_time_ns += op.finish_ns - op.start_ns
-        self.ops_begun += 1
-
-    def complete(self) -> None:
-        """Mark the in-flight operation finished."""
-        self.in_flight = None
-
-    def cancel(self, now: float) -> InFlight:
-        """Abort the in-flight operation at ``now``; returns it.
-
-        The busy-time accumulator is trimmed back to the actual time spent.
-        """
-        op = self.in_flight
-        if op is None:
-            raise RuntimeError(f"bank {self.index} has nothing to cancel")
-        self.busy_time_ns -= max(0.0, op.finish_ns - now)
-        self.busy_until = now
-        self.in_flight = None
-        self.ops_cancelled += 1
-        return op
-
-    def open_row_for(self, row: int) -> None:
-        self.open_row = row
-
-    def apply_hot_state(self, busy_until: float, open_row: Optional[int],
-                        in_flight: Optional[InFlight]) -> None:
-        """Adopt the controller fast path's flat-array state for this bank.
-
-        Called at sync points only (never per event), so any code that
-        inspects Bank objects after a fast run - RunResult collection,
-        warmup reset, tests - sees exactly what a reference run would.
-        """
-        self.busy_until = busy_until
-        self.open_row = open_row
-        self.in_flight = in_flight

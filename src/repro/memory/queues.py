@@ -12,15 +12,13 @@ Each queue keeps a per-bank FIFO index so the controller can ask, per idle
 bank, for the oldest request targeting it, and for bank occupancy counts
 (the Bank-Aware decision needs "how many writes are queued for this bank?").
 
-The per-bank index is a flat list of deques indexed by bank id (banks are
-small dense integers from :meth:`repro.memory.address.AddressMap.decode`),
-so the controller's per-bank probes are list indexing rather than dict
-hashing.  Pass ``num_banks`` to preallocate the list; without it the list
-grows on demand, which keeps direct construction in tests trivial.  The
-``*_fast`` methods are the controller hot-path twins of ``push`` /
-``try_pop_bank``: the caller has already checked capacity, passes the
-clock value instead of paying the clock-closure call, and runs only with
-the sanitizer disarmed.
+The per-bank index is a flat list of ``num_banks`` deques indexed by bank
+id (banks are small dense integers from
+:meth:`repro.memory.address.AddressMap.decode`), so the controller's
+per-bank probes are list indexing rather than dict hashing.
+:meth:`RequestQueue.push` and :meth:`RequestQueue.pop_bank` take the
+caller's clock value instead of paying the clock-closure call on every
+mutation.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, List, Optional
 
+from repro import params
 from repro.lint.sanitize import check, resolve
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -103,7 +102,7 @@ class RequestQueue:
                  clock: Optional[Callable[[], float]] = None,
                  sanitize: Optional[bool] = None,
                  telemetry: Telemetry = NULL_TELEMETRY,
-                 num_banks: int = 0) -> None:
+                 num_banks: int = params.DEFAULT_BANKS) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -163,22 +162,19 @@ class RequestQueue:
     def empty(self) -> bool:
         return self._size == 0
 
-    def _grow_to(self, bank: int) -> Deque[Request]:
-        """Ensure the per-bank list covers ``bank``; returns its FIFO."""
-        fifos = self._fifos
-        while len(fifos) <= bank:
-            fifos.append(deque())
-        return fifos[bank]
-
-    def push(self, request: Request) -> None:
-        """Append a request; raises if the queue is full."""
-        if self.full:
+    def push(self, request: Request,
+             now: float) -> None:   # simlint: hotpath
+        """Append a request at time ``now``; raises if the queue is full."""
+        size = self._size
+        if size >= self.capacity:
             raise OverflowError(f"{self.name} queue overflow")
-        self._integrate()
-        self._grow_to(request.bank).append(request)
-        self._size += 1
-        if self._track_peak and self._size > self._epoch_peak:
-            self._epoch_peak = self._size
+        if self._clock is not None:
+            self._occupancy_integral += size * (now - self._last_change_ns)
+            self._last_change_ns = now
+        self._fifos[request.bank].append(request)
+        self._size = size = size + 1
+        if self._track_peak and size > self._epoch_peak:
+            self._epoch_peak = size
         if self._sanitize:
             self._check_occupancy()
 
@@ -187,35 +183,17 @@ class RequestQueue:
         if self.full:
             raise OverflowError(f"{self.name} queue overflow")
         self._integrate()
-        self._grow_to(request.bank).appendleft(request)
+        self._fifos[request.bank].appendleft(request)
         self._size += 1
         if self._track_peak and self._size > self._epoch_peak:
             self._epoch_peak = self._size
         if self._sanitize:
             self._check_occupancy()
 
-    def push_fast(self, request: Request, now: float) -> None:   # simlint: hotpath
-        """Hot-path :meth:`push` twin: preallocated banks, caller's clock.
-
-        The caller has already rejected the full-queue case, constructed
-        the queue with ``num_banks`` (so no growth check is needed) and
-        runs with the sanitizer disarmed; ``now`` is passed in so the
-        occupancy integration skips the clock-closure call.
-        """
-        if self._clock is not None:
-            self._occupancy_integral += self._size * (now - self._last_change_ns)
-            self._last_change_ns = now
-        self._fifos[request.bank].append(request)
-        self._size += 1
-        if self._track_peak and self._size > self._epoch_peak:
-            self._epoch_peak = self._size
-
     def peek_bank(self, bank: int) -> Optional[Request]:
         """Oldest request for ``bank`` without removing it."""
-        fifos = self._fifos
-        if bank < len(fifos) and fifos[bank]:
-            return fifos[bank][0]
-        return None
+        fifo = self._fifos[bank]
+        return fifo[0] if fifo else None
 
     def pop_bank_row_first(self, bank: int, open_row: Optional[int]) -> Request:
         """Remove the oldest row-hit request for ``bank``, else the oldest.
@@ -224,8 +202,7 @@ class RequestQueue:
         selection rule: requests to the currently open row bypass older
         row-miss requests, trading fairness for row-buffer locality.
         """
-        fifos = self._fifos
-        per_bank = fifos[bank] if bank < len(fifos) else None
+        per_bank = self._fifos[bank]
         if not per_bank:
             raise LookupError(f"no {self.name} request for bank {bank}")
         self._integrate()
@@ -243,39 +220,14 @@ class RequestQueue:
             self._check_occupancy()
         return popped
 
-    def pop_bank(self, bank: int) -> Request:
-        """Remove and return the oldest request for ``bank``."""
-        fifos = self._fifos
-        per_bank = fifos[bank] if bank < len(fifos) else None
-        if not per_bank:
-            raise LookupError(f"no {self.name} request for bank {bank}")
-        self._integrate()
-        self._size -= 1
-        popped = per_bank.popleft()
-        if self._sanitize:
-            self._check_occupancy()
-        return popped
+    def pop_bank(self, bank: int,
+                 now: float) -> Optional[Request]:   # simlint: hotpath
+        """Remove and return the oldest request for ``bank`` at ``now``.
 
-    def try_pop_bank(self, bank: int) -> Optional[Request]:
-        """:meth:`pop_bank`, but None for an empty bank FIFO.
-
-        The controller's per-bank issue loop runs this on every issue
-        opportunity; folding the emptiness test into the pop halves the
-        index lookups of the ``count_bank``-then-``pop_bank`` idiom.
+        None when the bank has nothing queued: the controller's issue
+        scan probes every queue on every issue opportunity, so the
+        emptiness test is folded into the pop.
         """
-        fifos = self._fifos
-        per_bank = fifos[bank] if bank < len(fifos) else None
-        if not per_bank:
-            return None
-        self._integrate()
-        self._size -= 1
-        popped = per_bank.popleft()
-        if self._sanitize:
-            self._check_occupancy()
-        return popped
-
-    def pop_bank_fast(self, bank: int, now: float) -> Optional[Request]:   # simlint: hotpath
-        """Hot-path :meth:`try_pop_bank` twin (see :meth:`push_fast`)."""
         fifo = self._fifos[bank]
         if not fifo:
             return None
@@ -283,7 +235,10 @@ class RequestQueue:
             self._occupancy_integral += self._size * (now - self._last_change_ns)
             self._last_change_ns = now
         self._size -= 1
-        return fifo.popleft()
+        popped = fifo.popleft()
+        if self._sanitize:
+            self._check_occupancy()
+        return popped
 
     def epoch_peak_depth(self) -> int:
         """Peak occupancy since the last call (telemetry epoch probe).
@@ -297,8 +252,7 @@ class RequestQueue:
 
     def count_bank(self, bank: int) -> int:
         """Number of queued requests targeting ``bank``."""
-        fifos = self._fifos
-        return len(fifos[bank]) if bank < len(fifos) else 0
+        return len(self._fifos[bank])
 
     def banks_with_requests(self) -> List[int]:
         """Banks that currently have at least one queued request."""

@@ -42,9 +42,9 @@ class WearHeatmap:
 
         The probe call doubles as the epoch flush point for buffered wear
         accounting: :meth:`repro.endurance.wear.WearTracker.bank_damages`
-        folds the hot path's pending whole-write buffers into the per-bank
-        records before reporting, so heatmap rows are identical whether
-        the hot path is engaged or not.  The shape check runs on the raw
+        folds the pending whole-write buffers into the per-bank records
+        before reporting, so heatmap rows equal unbuffered accounting.
+        The shape check runs on the raw
         probe result, before the row copy, so a misbehaving probe fails
         loudly without a partially-built row being allocated first.
         """

@@ -21,9 +21,12 @@ once, and ``randrange`` replaced by an inline of CPython's
 
 That loop is the exact algorithm ``randrange(n)`` has used on every CPython
 this project supports (3.10-3.12), so the compiled closures draw the same
-values from the same generator state - the trace is bit-identical, which
-``tests/test_fastpath.py`` checks end to end.  The base-class default simply
-wraps ``next``, so custom patterns stay correct without a compiled form.
+values from the same generator state as ``next(rng)``; the golden corpus
+(``tests/test_golden.py``) pins the resulting traces end to end.
+
+``next`` is the contract a pattern must implement; ``compile_fast`` is an
+optional speedup.  The base-class default simply wraps ``next``, so a
+custom pattern is correct without a compiled form.
 """
 
 from __future__ import annotations

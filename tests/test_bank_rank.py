@@ -1,62 +1,80 @@
-"""Tests for the bank state machine and rank tFAW limiter."""
+"""Tests for per-bank state in the controller and the rank tFAW limiter."""
 
 import pytest
 
-from repro.memory.bank import Bank, InFlight
-from repro.memory.queues import WRITE, Request
+from repro.core.policies import parse_policy
+from repro.endurance.wear import WearTracker
+from repro.memory.address import AddressMap
+from repro.memory.bank import Bank
+from repro.memory.controller import MemoryController
 from repro.memory.rank import RankFawLimiter
+from repro.sim.events import EventQueue
+
+AMAP = AddressMap(num_banks=4, num_ranks=1, capacity_bytes=64 * 1024 * 1024)
 
 
-def make_op(start=0.0, finish=100.0, pulse_start=20.0, cancellable=True):
-    request = Request(kind=WRITE, block=0, bank=0, rank=0, row=0,
-                      arrival_ns=0.0)
-    return InFlight(request=request, start_ns=start, finish_ns=finish,
-                    pulse_start_ns=pulse_start, cancellable=cancellable)
+def make_controller(policy="Norm"):
+    events = EventQueue()
+    ctrl = MemoryController(
+        events=events, policy=parse_policy(policy), address_map=AMAP,
+        wear=WearTracker(AMAP.num_banks, AMAP.blocks_per_bank),
+    )
+    return events, ctrl
 
 
 class TestBank:
+    """Bank scheduling state lives in the controller's per-bank lists;
+    the Bank object keeps the lifetime counters."""
+
     def test_initially_idle_no_open_row(self):
         bank = Bank(0)
-        assert bank.is_idle(0.0)
-        assert bank.open_row is None
+        assert (bank.busy_time_ns, bank.ops_begun, bank.ops_cancelled,
+                bank.lines_retired) == (0.0, 0, 0, 0)
+        _events, ctrl = make_controller()
+        assert ctrl._bank_busy_until == [0.0] * AMAP.num_banks
+        assert ctrl._bank_open_row == [None] * AMAP.num_banks
+        assert ctrl._bank_in_flight == [None] * AMAP.num_banks
 
     def test_begin_makes_busy_until_finish(self):
-        bank = Bank(0)
-        bank.begin(make_op(start=10, finish=110))
-        assert not bank.is_idle(50)
-        assert bank.is_idle(110)
-        assert bank.busy_time_ns == 100   # simlint: ignore[SIM004] -- exact by construction (integer-valued times)
+        events, ctrl = make_controller()
+        ctrl.submit_write(AMAP.encode(0, 32))
+        op = ctrl._bank_in_flight[0]
+        assert op is not None
+        assert ctrl._bank_busy_until[0] == op.finish_ns   # simlint: ignore[SIM004] -- the same float, stored twice
+        busy = op.finish_ns - op.start_ns
+        assert ctrl.banks[0].busy_time_ns == pytest.approx(busy)   # simlint: ignore[SIM004] -- pytest.approx carries the tolerance
+        assert ctrl.banks[0].ops_begun == 1
+        events.run_all()
+        assert events.now >= ctrl._bank_busy_until[0]
 
     def test_row_hit_tracking(self):
-        bank = Bank(0)
-        assert not bank.row_hit(5)
-        bank.open_row_for(5)
-        assert bank.row_hit(5)
-        assert not bank.row_hit(6)
+        events, ctrl = make_controller()
+        row_of = AMAP.decode(AMAP.encode(0, 0))[2]
+        ctrl.submit_read(AMAP.encode(0, 0))
+        events.run_all()
+        assert ctrl._bank_open_row[0] == row_of
+        ctrl.submit_read(AMAP.encode(0, 1))       # same row: a hit
+        events.run_all()
+        assert (ctrl.stats.read_row_misses, ctrl.stats.read_row_hits) == (1, 1)
 
     def test_cancel_frees_bank_and_trims_busy_time(self):
-        bank = Bank(0)
-        bank.begin(make_op(start=0, finish=100))
-        op = bank.cancel(30)
-        assert bank.is_idle(30)
-        assert bank.in_flight is None
-        assert bank.busy_time_ns == pytest.approx(30)   # simlint: ignore[SIM004] -- pytest.approx carries the tolerance
-        assert op.request.bank == 0
-
-    def test_cancel_without_operation_raises(self):
-        with pytest.raises(RuntimeError):
-            Bank(0).cancel(10)
+        events, ctrl = make_controller("Slow+SC")
+        ctrl.submit_write(AMAP.encode(0, 32))
+        events.run_until(100)                      # write in flight
+        write = ctrl._bank_in_flight[0]
+        assert write is not None and write.cancellable
+        ctrl.submit_read(AMAP.encode(0, 0))        # cancels the write
+        assert ctrl.banks[0].ops_cancelled == 1
+        assert ctrl._bank_in_flight[0] is None
+        # Busy time is trimmed back to the 100 ns actually spent.
+        assert ctrl.banks[0].busy_time_ns == pytest.approx(100)   # simlint: ignore[SIM004] -- pytest.approx carries the tolerance
 
     def test_complete_clears_in_flight(self):
-        bank = Bank(0)
-        bank.begin(make_op())
-        bank.complete()
-        assert bank.in_flight is None
-
-    def test_negative_duration_rejected(self):
-        bank = Bank(0)
-        with pytest.raises(ValueError):
-            bank.begin(make_op(start=100, finish=50))
+        events, ctrl = make_controller()
+        ctrl.submit_write(AMAP.encode(0, 32))
+        assert ctrl._bank_in_flight[0] is not None
+        events.run_all()
+        assert ctrl._bank_in_flight[0] is None
 
 
 class TestRankFawLimiter:

@@ -1,8 +1,7 @@
 """Checkpoint equivalence gate: snapshot -> restore -> continue must be
 bit-identical to running straight through.
 
-The differential matrix mirrors the fastpath oracle suite: every test
-runs the same config twice - once uninterrupted, once sliced into
+The differential matrix runs every config twice - once uninterrupted, once sliced into
 checkpointed segments where each pause round-trips through an actual
 snapshot file and a freshly constructed ``System`` - and requires
 byte-for-byte equality of the serialized results (and, where enabled,
@@ -40,7 +39,6 @@ from repro.checkpoint.codec import _capture_llc, _restore_llc
 from repro.checkpoint.snapshot import _encode_snapshot
 from repro.experiments.runner import Runner
 from repro.faults import FaultConfig
-from repro.hotpath import FASTPATH_ENV
 from repro.sim.config import CACHE_KEY_EXCLUDED, SimConfig
 from repro.sim.system import System
 from repro.store import FileStore
@@ -139,32 +137,6 @@ def test_sliced_bit_identity_sanitizer_armed(
     config = SimConfig(workload="hmmer", policy="Slow+SC", seed=3,
                        sanitize=True).scaled(0.02)
     assert _sliced_json(config, 700, tmp_path) == _straight_json(config)
-
-
-def test_sliced_bit_identity_reference_mode(
-        monkeypatch: pytest.MonkeyPatch, tmp_path: Path) -> None:
-    """With the fastpath disabled the reference drain loop handles the
-    pause; the snapshot mode flag records the environment."""
-    monkeypatch.setenv(FASTPATH_ENV, "1")
-    config = SimConfig(workload="hmmer", policy="BE-Mellow+SC",
-                       seed=3).scaled(0.02)
-    assert _sliced_json(config, 900, tmp_path) == _straight_json(config)
-
-
-def test_mode_mismatch_rejected(monkeypatch: pytest.MonkeyPatch,
-                                tmp_path: Path) -> None:
-    """A snapshot captured under the fastpath must refuse to restore in
-    a reference-mode environment (and name the env var)."""
-    monkeypatch.delenv(FASTPATH_ENV, raising=False)
-    config = SimConfig(workload="hmmer", policy="Norm", seed=3,
-                       checkpoint_every=900).scaled(0.02)
-    system = System(config)
-    system.start_run()
-    assert system.continue_run() is None
-    path = save_snapshot(system, tmp_path / "fast.ckpt")
-    monkeypatch.setenv(FASTPATH_ENV, "1")
-    with pytest.raises(CheckpointError, match="REPRO_NO_FASTPATH"):
-        restore_system(path)
 
 
 def test_run_with_checkpoint_dir_writes_snapshots(tmp_path: Path) -> None:
@@ -326,7 +298,7 @@ def test_corrupt_digest_mismatch(tmp_path: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# State schema 2: the columnar LLC section.
+# State schema 3: the columnar LLC section, one controller spine.
 # ---------------------------------------------------------------------------
 
 
@@ -335,16 +307,10 @@ def _line_rows(system: System) -> list:
              for line in lines] for lines in system.llc.cache.sets]
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_llc_columns_round_trip(monkeypatch: pytest.MonkeyPatch,
-                                fastpath: bool) -> None:
+def test_llc_columns_round_trip() -> None:
     """Per-set lengths plus flat set-major, MRU-first columns rebuild
     every line - dirty, eager-cleaned, partially filled and empty sets
-    alike - and, on the fast path, the tag mirrors the hit scan reads."""
-    if fastpath:
-        monkeypatch.delenv(FASTPATH_ENV, raising=False)
-    else:
-        monkeypatch.setenv(FASTPATH_ENV, "1")
+    alike - and the tag mirrors the hit scan reads."""
     config = SimConfig(workload="mcf", policy="Norm", seed=3,
                        llc_size_bytes=256 * 1024, functional_warmup_max=2000)
     source = System(config)
@@ -369,12 +335,11 @@ def test_llc_columns_round_trip(monkeypatch: pytest.MonkeyPatch,
     restored = System(config)
     _restore_llc(restored, state)
     assert _line_rows(restored) == rows
-    if fastpath:
-        cache = restored.llc.cache
-        for index, lines in enumerate(cache.sets):
-            tags = [line.tag for line in lines]
-            assert cache._tag_sets[index] == tags
-            assert cache._tag_members[index] == set(tags)
+    cache = restored.llc.cache
+    for index, lines in enumerate(cache.sets):
+        tags = [line.tag for line in lines]
+        assert cache._tag_sets[index] == tags
+        assert cache._tag_members[index] == set(tags)
     assert _capture_llc(restored) == _capture_llc(source)
 
 
@@ -389,36 +354,40 @@ def test_llc_set_count_mismatch_rejected() -> None:
         restore_warm_state(other, encoded)
 
 
-def _downgrade_to_schema_1(path: Path) -> None:
-    """Rewrite a snapshot as a well-formed body carrying state schema 1."""
+def _downgrade_state_schema(path: Path, schema: int) -> None:
+    """Rewrite a snapshot as a well-formed body carrying an old state
+    schema: 1 (per-line LLC rows) or 2 (reference/fast spine mode flag
+    and per-bank scheduling rows)."""
     config, state = load_snapshot(path)
-    state["state_schema"] = 1
+    state["state_schema"] = schema
     path.write_bytes(_encode_snapshot(config, state))
 
 
-def test_state_schema_1_refused(tmp_path: Path) -> None:
+@pytest.mark.parametrize("schema", [1, 2])
+def test_state_schema_1_refused(tmp_path: Path, schema: int) -> None:
     path = _one_snapshot(tmp_path)
-    _downgrade_to_schema_1(path)
+    _downgrade_state_schema(path, schema)
     with pytest.raises(CheckpointError) as excinfo:
         restore_system(path)
-    assert STATE_SCHEMA_VERSION == 2
-    assert "schema 1" in str(excinfo.value)
-    assert "schema 2" in str(excinfo.value)
+    assert STATE_SCHEMA_VERSION == 3
+    assert f"schema {schema}" in str(excinfo.value)
+    assert "schema 3" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("schema", [1, 2])
 def test_sweep_sliced_resimulates_schema_1_snapshot(
         monkeypatch: pytest.MonkeyPatch, tmp_path: Path,
-        caplog: pytest.LogCaptureFixture) -> None:
-    """A snapshot from the old layout is not fatal to a sliced sweep: the
+        caplog: pytest.LogCaptureFixture, schema: int) -> None:
+    """A snapshot from an old layout is not fatal to a sliced sweep: the
     slice warns and re-simulates, bit-identical to a straight run."""
     save = repro.checkpoint.save_snapshot
 
-    def save_as_schema_1(system: System, path: str) -> Path:
+    def save_as_old_schema(system: System, path: str) -> Path:
         target = save(system, path)
-        _downgrade_to_schema_1(target)
+        _downgrade_state_schema(target, schema)
         return target
 
-    monkeypatch.setattr(repro.checkpoint, "save_snapshot", save_as_schema_1)
+    monkeypatch.setattr(repro.checkpoint, "save_snapshot", save_as_old_schema)
     config = SimConfig(workload="hmmer", policy="Norm", seed=3,
                        checkpoint_every=900).scaled(0.02)
     with caplog.at_level("WARNING", logger="repro.experiments.runner"):
@@ -426,7 +395,7 @@ def test_sweep_sliced_resimulates_schema_1_snapshot(
             [config], jobs=1, apply_env_scale=False,
             checkpoint_dir=tmp_path / "slices")
     assert any("re-simulating" in record.message
-               and "state schema 1" in record.message
+               and f"state schema {schema}" in record.message
                for record in caplog.records)
     assert (json.dumps(run_result_to_dict(result), sort_keys=True)
             == _straight_json(config))

@@ -87,8 +87,7 @@ def test_all_requests_complete(policy_name, sequence):
     assert len(controller.read_q) == 0
     assert len(controller.write_q) == 0
     assert len(controller.eager_q) == 0
-    for bank in controller.banks:
-        assert bank.in_flight is None
+    assert controller._bank_in_flight == [None] * len(controller.banks)
 
 
 @pytest.mark.parametrize("policy_name", ["Norm", "BE-Mellow+SC", "Slow+SC"])

@@ -205,7 +205,7 @@ def test_warm_started_telemetry_bundle_is_byte_identical(tmp_path, sweep):
                 warm_file.name)
 
 
-@pytest.mark.parametrize("env", ["REPRO_SANITIZE", "REPRO_NO_FASTPATH"])
+@pytest.mark.parametrize("env", ["REPRO_SANITIZE"])
 def test_warm_started_sweep_matches_cold_runs_under_env(env, monkeypatch,
                                                         captures, sweep):
     monkeypatch.setenv(env, "1")

@@ -115,24 +115,24 @@ def test_event_queue_clean_when_unsanitized():
 
 def test_queue_detects_size_counter_corruption():
     queue = RequestQueue(capacity=4, name="write", sanitize=True)
-    queue.push(make_request(bank=0))
+    queue.push(make_request(bank=0), 0.0)
     queue._size = 3        # desync the aggregate counter
     with pytest.raises(InvariantViolation) as excinfo:
-        queue.push(make_request(bank=1))
+        queue.push(make_request(bank=1), 0.0)
     assert excinfo.value.invariant == "queue-occupancy"
 
 def test_queue_detects_size_out_of_bounds():
     queue = RequestQueue(capacity=4, name="write", sanitize=True)
     queue._size = -2
     with pytest.raises(InvariantViolation):
-        queue.push(make_request(bank=0))
+        queue.push(make_request(bank=0), 0.0)
 
 def test_queue_clean_under_normal_mutation():
     queue = RequestQueue(capacity=4, name="write", sanitize=True)
     for bank in (0, 1, 0):
-        queue.push(make_request(bank=bank))
+        queue.push(make_request(bank=bank), 0.0)
     queue.push_front(make_request(bank=1))
-    assert queue.pop_bank(0).bank == 0
+    assert queue.pop_bank(0, 0.0).bank == 0
     assert queue.pop_bank_row_first(1, open_row=None).bank == 1
     assert len(queue) == 2
 
@@ -217,6 +217,25 @@ def test_phantom_wear_write_trips_conservation_check():
     with pytest.raises(InvariantViolation) as excinfo:
         system.run()
     assert excinfo.value.invariant == "wear-conservation"
+
+
+def test_corrupted_write_queue_trips_occupancy_check_in_a_run():
+    # The controller's queue pushes and pops carry the occupancy check:
+    # a size counter that drifts from the per-bank FIFOs mid-run must
+    # raise at the next write-queue mutation.  Norm never cancels, so
+    # only push and pop touch the queue.
+    config = replace(SMOKE_CONFIG, policy="Norm", warmup_accesses=0,
+                     sanitize=True)
+    system = System(config)
+
+    def corrupt() -> None:
+        system.controller.write_q._size += 1
+
+    system.events.schedule(0.5, corrupt)
+    with pytest.raises(InvariantViolation) as excinfo:
+        system.run()
+    assert excinfo.value.invariant == "queue-occupancy"
+    assert excinfo.value.state["queue"] == "write"
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""simlint v2: the flow rules (SIM011-SIM013), SIM100, cache, SARIF.
+"""simlint v2: the flow rules (SIM011-SIM013), SIM100, SARIF.
 
 Fixtures are written to ``tmp_path`` as little multi-module packages so
 the interprocedural machinery (import resolution, cross-module taint,
@@ -7,13 +7,11 @@ single-file fast path.  The digest-stability section pins cache digests
 across locking changes: adding locks must never move a cache key.
 """
 
-import hashlib
 import json
 import textwrap
 
 from repro.cli import main
-from repro.lint import RULESET_VERSION, LintOptions, analyze_paths, lint_source
-from repro.lint.cache import AnalysisCache
+from repro.lint import LintOptions, analyze_paths, lint_source
 from repro.lint.engine import extract_suppressions
 from repro.lint.sarif import sarif_report, validate_sarif
 
@@ -391,92 +389,8 @@ def test_suppression_inside_string_literal_is_inert():
     assert ids(lint_source(src)) == ["SIM001"]
 
 
-# --------------------------------------------------------------------------
-# Incremental cache
-# --------------------------------------------------------------------------
-
 DIRTY = "x = hash('a')\n"
 CLEAN = "import zlib\nx = zlib.crc32(b'a')\n"
-
-def test_cache_warm_run_skips_reanalysis(tmp_path):
-    tree = write_tree(tmp_path / "tree", {"a.py": DIRTY, "b.py": CLEAN})
-    cache_dir = tmp_path / "cache"
-    cold = analyze_paths([tree], cache_dir=cache_dir)
-    warm = analyze_paths([tree], cache_dir=cache_dir)
-    assert (cold.analyzed, cold.cached) == (2, 0)
-    assert (warm.analyzed, warm.cached) == (0, 2)
-    assert ids(cold.findings) == ids(warm.findings) == ["SIM001"]
-
-def test_cache_invalidates_only_edited_file(tmp_path):
-    tree = write_tree(tmp_path / "tree", {"a.py": DIRTY, "b.py": CLEAN})
-    cache_dir = tmp_path / "cache"
-    analyze_paths([tree], cache_dir=cache_dir)
-    (tree / "a.py").write_text(CLEAN)
-    warm = analyze_paths([tree], cache_dir=cache_dir)
-    assert (warm.analyzed, warm.cached) == (1, 1)
-    assert warm.findings == []
-
-def test_cache_invalidates_on_ruleset_bump(tmp_path):
-    tree = write_tree(tmp_path / "tree", {"a.py": DIRTY})
-    cache_dir = tmp_path / "cache"
-    analyze_paths([tree], cache_dir=cache_dir)
-    digest = hashlib.sha256(DIRTY.encode()).hexdigest()
-    path = str(tree / "a.py")
-    same = AnalysisCache(cache_dir, RULESET_VERSION)
-    assert same.get(path, digest) is not None
-    bumped = AnalysisCache(cache_dir, RULESET_VERSION + ".bump")
-    assert bumped.get(path, digest) is None
-
-def test_cache_partial_run_keeps_other_entries(tmp_path):
-    # Linting a subdirectory (or pre-commit linting two staged files)
-    # must not evict the rest of the tree's warm entries.
-    tree = write_tree(tmp_path / "tree", {"a.py": DIRTY, "sub/b.py": CLEAN})
-    cache_dir = tmp_path / "cache"
-    analyze_paths([tree], cache_dir=cache_dir)
-    analyze_paths([tree / "sub"], cache_dir=cache_dir)
-    warm = analyze_paths([tree], cache_dir=cache_dir)
-    assert (warm.analyzed, warm.cached) == (0, 2)
-
-def test_cache_prunes_deleted_files(tmp_path):
-    tree = write_tree(tmp_path / "tree", {"a.py": DIRTY, "b.py": CLEAN})
-    cache_dir = tmp_path / "cache"
-    analyze_paths([tree], cache_dir=cache_dir)
-    (tree / "a.py").unlink()
-    analyze_paths([tree], cache_dir=cache_dir)
-    entries = json.loads((cache_dir / "cache.json").read_text())["entries"]
-    assert list(entries) == [str(tree / "b.py")]
-
-def test_cache_preserves_project_findings(tmp_path):
-    # SIM011 crosses files; the warm run recomputes the fixpoint from
-    # cached summaries and must reach the same verdict.
-    tree = write_tree(tmp_path / "tree", {
-        "util.py": "def mix(name):\n    return hash(name)\n",
-        "conf.py": "from util import mix\n\n"
-                   "def cache_key(cfg):\n    return mix(cfg)\n",
-    })
-    cache_dir = tmp_path / "cache"
-    cold = analyze_paths([tree], cache_dir=cache_dir)
-    warm = analyze_paths([tree], cache_dir=cache_dir)
-    assert warm.analyzed == 0
-    assert ids(cold.findings) == ids(warm.findings) == ["SIM011"]
-    assert cold.findings[0].message == warm.findings[0].message
-
-
-# --------------------------------------------------------------------------
-# Parallel analysis
-# --------------------------------------------------------------------------
-
-def test_parallel_jobs_match_serial(tmp_path):
-    tree = write_tree(tmp_path / "tree", {
-        "a.py": DIRTY,
-        "b.py": CLEAN,
-        "c.py": "import time\nt = time.time()\n",
-        "d.py": "def cache_key(name):\n    return hash(name)\n",
-    })
-    serial = analyze_paths([tree], jobs=1)
-    parallel = analyze_paths([tree], jobs=2)
-    assert [f.format_text() for f in serial.findings] == \
-           [f.format_text() for f in parallel.findings]
 
 
 # --------------------------------------------------------------------------
@@ -507,7 +421,7 @@ def test_sarif_validator_rejects_broken_documents():
 def test_cli_sarif_format(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
     dirty.write_text(DIRTY)
-    assert main(["lint", "--no-cache", "--format", "sarif", str(dirty)]) == 1
+    assert main(["lint", "--format", "sarif", str(dirty)]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["version"] == "2.1.0"
     assert doc["runs"][0]["results"][0]["ruleId"] == "SIM001"
@@ -516,7 +430,7 @@ def test_cli_sarif_output_file(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
     dirty.write_text(DIRTY)
     out = tmp_path / "report.sarif"
-    assert main(["lint", "--no-cache", "--format", "sarif",
+    assert main(["lint", "--format", "sarif",
                  "--output", str(out), str(dirty)]) == 1
     doc = json.loads(out.read_text())
     assert validate_sarif(doc) == []
@@ -524,25 +438,21 @@ def test_cli_sarif_output_file(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------
-# CLI: cache flags, stats, repro check
+# CLI: stats, repro check
 # --------------------------------------------------------------------------
 
-def test_cli_cache_stats(tmp_path, capsys):
+def test_cli_stats(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
     dirty.write_text(DIRTY)
-    cache_dir = tmp_path / "cache"
-    args = ["lint", "--stats", "--cache-dir", str(cache_dir), str(dirty)]
-    assert main(args) == 1
-    assert "1 analyzed, 0 from cache" in capsys.readouterr().err
-    assert main(args) == 1
-    assert "0 analyzed, 1 from cache" in capsys.readouterr().err
+    assert main(["lint", "--stats", str(dirty)]) == 1
+    assert "1 file(s), 1 analyzed" in capsys.readouterr().err
 
 def test_cli_unused_suppression_toggle(tmp_path, capsys):
     stale = tmp_path / "stale.py"
     stale.write_text("x = 1   # simlint: ignore[SIM001]\n")
-    assert main(["lint", "--no-cache", str(stale)]) == 1
+    assert main(["lint", str(stale)]) == 1
     assert "SIM100" in capsys.readouterr().out
-    assert main(["lint", "--no-cache",
+    assert main(["lint",
                  "--no-report-unused-suppressions", str(stale)]) == 0
     capsys.readouterr()
 
@@ -551,7 +461,7 @@ def test_check_skips_missing_tools(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(lint_cli.shutil, "which", lambda name: None)
     clean = tmp_path / "clean.py"
     clean.write_text(CLEAN)
-    assert main(["check", "--no-cache", str(clean)]) == 0
+    assert main(["check", str(clean)]) == 0
     out = capsys.readouterr().out
     assert out.count("skipped (not installed)") == 2
 
@@ -560,7 +470,7 @@ def test_check_require_tools_fails_when_missing(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(lint_cli.shutil, "which", lambda name: None)
     clean = tmp_path / "clean.py"
     clean.write_text(CLEAN)
-    assert main(["check", "--no-cache", "--require-tools", str(clean)]) == 1
+    assert main(["check", "--require-tools", str(clean)]) == 1
     capsys.readouterr()
 
 def test_check_fails_on_findings_and_writes_sarif(tmp_path, capsys, monkeypatch):
@@ -569,7 +479,7 @@ def test_check_fails_on_findings_and_writes_sarif(tmp_path, capsys, monkeypatch)
     dirty = tmp_path / "dirty.py"
     dirty.write_text(DIRTY)
     sarif_path = tmp_path / "simlint.sarif"
-    assert main(["check", "--no-cache", "--sarif", str(sarif_path),
+    assert main(["check", "--sarif", str(sarif_path),
                  str(dirty)]) == 1
     assert validate_sarif(json.loads(sarif_path.read_text())) == []
     capsys.readouterr()
